@@ -26,7 +26,6 @@ from math import gcd, prod
 from .qpoly import (
     Ambient,
     QQ,
-    QPolynomial,
     WeightVector,
     _univariate_gcd,
     substitute,
@@ -362,12 +361,6 @@ class Rank2Toric:
         if len(seen) != 1:
             raise ValueError(f"polynomial is not bihomogeneous: degrees {sorted(seen)}")
         return DivisorClass(*seen.pop())
-
-    def matrix_str(self):
-        row1 = " ".join(f"{c[0]:>3}" for c in self.columns)
-        row2 = " ".join(f"{c[1]:>3}" for c in self.columns)
-        head = " ".join(f"{n:>3}" for n in self.names)
-        return f"     {head}\n    [{row1}]\n    [{row2}]"
 
 
 def blowup_ambient(wps, center, weights, uname="u"):

@@ -21,6 +21,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .ambient import (
     WPS,
@@ -39,16 +40,9 @@ from .links import (
     X_WEIGHTS,
     X_WPS,
     _Sampler,
-    build_involutions,
     classify_links,
-    condition_check,
-    construct_link_sigma,
-    exclude_degree_one_curves,
-    normal_form_X1214,
+    link_stages,
     random_member,
-    run_exclusion_blowups,
-    singularity_census_X,
-    singularity_census_hatX,
     verify_involution,
 )
 from .qpoly import Ambient, DEFAULT_PRIME, GF, QQ, WeightVector, substitute
@@ -82,11 +76,6 @@ class InputSpec:
         self.field = field
         self.seed = seed
         self.member = member
-
-
-def _standard_spec(seed, field):
-    eqs = random_member(seed)
-    return InputSpec(X_WPS, eqs, X_DEGREES, field, seed, "random")
 
 
 def load_input(document):
@@ -175,29 +164,25 @@ def _read_document(path):
 
 
 def _spec_from_args(args, need_equations=False):
-    """The input spec selected by the positional path or --random."""
-    field = _field_from_flag(args)
-    if getattr(args, "random", None) is not None:
+    """The input spec selected by the positional path or --random.
+
+    --field, when given, replaces the field of the spec; otherwise a
+    document keeps its own field and a --random member gets F_(2^31-1).
+    """
+    if args.random is not None:
         if args.input is not None:
             raise CliError("give an input file or --random, not both")
-        return _standard_spec(args.random, field)
-    if args.input is None:
+        spec = InputSpec(X_WPS, random_member(args.random), X_DEGREES,
+                         GF(DEFAULT_PRIME), args.random, "random")
+    elif args.input is None:
         raise CliError("an input file (or --random SEED) is required")
-    spec = load_input(_read_document(args.input))
-    if field is not None:
-        spec.field = field
-    if spec.field is None:
-        spec.field = GF(DEFAULT_PRIME)
+    else:
+        spec = load_input(_read_document(args.input))
+    if args.field is not None:
+        spec.field = QQ if args.field == "q" else GF(DEFAULT_PRIME)
     if need_equations and spec.equations is None:
         raise CliError("this command needs equations in the input")
     return spec
-
-
-def _field_from_flag(args):
-    flag = getattr(args, "field", None)
-    if flag is None:
-        return None
-    return QQ if flag == "q" else GF(DEFAULT_PRIME)
 
 
 def _standard_member(spec):
@@ -541,10 +526,9 @@ def cmd_two_ray(args):
 def cmd_link(args):
     spec = _spec_from_args(args)
     F1, F2 = _standard_member(spec)
-    nf = normal_form_X1214(F1, F2)
-    census = singularity_census_X(nf, samples=min(args.samples, 20),
-                                  seed=args.seed, field=spec.field)
-    link = construct_link_sigma(nf)
+    stages = link_stages(F1, F2, samples=min(args.samples, 20),
+                         seed=args.seed, field=spec.field)
+    (_, nf), (_, census), (_, link) = islice(stages, 3)
     steps = [
         {"name": "normal-form",
          "F1": str(nf.F1), "F2": str(nf.F2),
@@ -583,7 +567,8 @@ def cmd_classify(args):
     spec = _spec_from_args(args)
     F1, F2 = _standard_member(spec)
     cls = classify_links(F1, F2, samples=min(args.samples, 40),
-                         seed=args.seed, trials=args.trials)
+                         seed=args.seed, trials=args.trials,
+                         field=spec.field)
     steps = [{"name": "normal-form",
               "lambda": _rat(cls.normal_form.lam),
               "mu": _rat(cls.normal_form.mu)}]
@@ -622,15 +607,14 @@ def cmd_classify(args):
 
 
 def cmd_verify_paper(args):
-    if args.input is not None:
-        spec = _spec_from_args(args)
-        F1, F2 = _standard_member(spec)
-        field = spec.field
-    else:
-        field = _field_from_flag(args) or GF(DEFAULT_PRIME)
-        seed = args.seed if args.random is None else args.random
-        args.seed = seed
-        F1, F2 = random_member(seed)
+    if args.input is None:
+        # a seeded member: --random picks it, else --seed does, and the
+        # same seed drives the sampled checks
+        if args.random is None:
+            args.random = args.seed
+        args.seed = args.random
+    spec = _spec_from_args(args)
+    F1, F2 = _standard_member(spec)
     steps = []
     fmt = args.format
 
@@ -642,81 +626,77 @@ def cmd_verify_paper(args):
     status = "ok"
     code = 0
     try:
-        nf = normal_form_X1214(F1, F2)
-        check("normal-form", nf.certificate.ok,
-              f"lambda={nf.lam} mu={nf.mu}"
-              f" resultant={nf.certificate.resultant}")
-
-        census = singularity_census_X(nf, samples=20, seed=args.seed,
-                                      field=field)
-        check("census", census.fano_index == 2
-              and {p: q.type_label() for p, q in census.singular.items()}
-              == {"w": "1/11(1,2,9)"},
-              "Fano index 2; one singular point of type 1/11(1,2,9)")
-
-        link = construct_link_sigma(nf)
-        check("extraction-discrepancy",
-              link.extraction.discrepancy == Fraction(1, 11),
-              "weights (6,1,7,2,9)/11 give discrepancy 1/11, chart"
-              " cross-checked")
-        check("link-sigma", str(link.report.verdict.target)
-              == "X_7 in P(1,1,1,2,3)",
-              "two-ray game ends on a degree-7 hypersurface in"
-              " P(1,1,1,2,3)")
-        check("model-equation",
-              link.hat.F.coefficient((1, 0, 0, 0, 2)) == 1
-              and link.hat.F.coefficient((1, 1, 2, 0, 1)) == nf.lam,
-              "v^2*u present; y*z^2*v*u coefficient equals the"
-              " transported lambda")
-
-        hat_census = singularity_census_hatX(link.hat)
-        labels = {p: q.type_label()
-                  for p, q in hat_census.singular.items()}
-        check("census-model", labels == {"t": "1/2(1,1,1)",
-                                         "v": "1/3(1,1,2)"}
-              and hat_census.qhat.on_variety
-              and not hat_census.qhat.quasismooth,
-              "points 1/2(1,1,1) and 1/3(1,1,2) plus the compound E6"
-              " point")
-
-        expected = 4 if nf.lam != 0 else 3
-        check("germ-table",
-              hat_census.germ.low_discrepancy_count == expected,
-              f"{expected} divisors of discrepancy one over the"
-              " compound E6 point")
-
-        cond = condition_check(link.hat, trials=args.trials)
-        r1, r2 = run_exclusion_blowups(link.hat, cond,
-                                       trials=args.trials)
-        check("exclusion-blowups",
-              r1.verdict.kind == "NotSarkisov"
-              and r2.verdict.kind == "NotSarkisov"
-              and r1.extraction.discrepancy == 1
-              and r2.extraction.discrepancy == 1,
-              "both discrepancy-one blowups leave the anticanonical"
-              " class on the movable-cone boundary")
-
-        curves = exclude_degree_one_curves(link.hat)
-        check("curve-exclusion", curves.ok,
-              "no curve of degree one passes through the compound E6"
-              " point")
-
-        inv = build_involutions(nf, link)
-        check("deck-involution", inv.chi_preserves_model
-              and inv.chi_squared_identity,
-              "the deck involution fixes the model equation exactly")
-        passed, total = _parallel_involution_check(
-            nf, inv.iota, args.samples, args.seed, field, args.parallel)
-        check("involution-sampled", passed == total,
-              f"{passed}/{total} sampled points verified")
-
-        cls = classify_links(F1, F2, samples=20, seed=args.seed,
-                             trials=args.trials)
-        check("classification", cls.solid
-              and cls.citations == CITATIONS
-              and cls.elementary_from_qhat == (2 if nf.lam != 0 else 1),
-              f"{1 + cls.elementary_from_qhat} elementary links, four"
-              " cited exclusions, member is birationally solid")
+        for stage, art in link_stages(F1, F2, samples=20, seed=args.seed,
+                                      trials=args.trials,
+                                      field=spec.field):
+            if stage == "normal-form":
+                nf = art
+                check("normal-form", nf.certificate.ok,
+                      f"lambda={nf.lam} mu={nf.mu}"
+                      f" resultant={nf.certificate.resultant}")
+            elif stage == "census":
+                check("census", art.fano_index == 2
+                      and {p: q.type_label() for p, q in art.singular.items()}
+                      == {"w": "1/11(1,2,9)"},
+                      "Fano index 2; one singular point of type"
+                      " 1/11(1,2,9)")
+            elif stage == "sigma":
+                check("extraction-discrepancy",
+                      art.extraction.discrepancy == Fraction(1, 11),
+                      "weights (6,1,7,2,9)/11 give discrepancy 1/11, chart"
+                      " cross-checked")
+                check("link-sigma", str(art.report.verdict.target)
+                      == "X_7 in P(1,1,1,2,3)",
+                      "two-ray game ends on a degree-7 hypersurface in"
+                      " P(1,1,1,2,3)")
+                check("model-equation",
+                      art.hat.F.coefficient((1, 0, 0, 0, 2)) == 1
+                      and art.hat.F.coefficient((1, 1, 2, 0, 1)) == nf.lam,
+                      "v^2*u present; y*z^2*v*u coefficient equals the"
+                      " transported lambda")
+            elif stage == "hat-census":
+                labels = {p: q.type_label() for p, q in art.singular.items()}
+                check("census-model", labels == {"t": "1/2(1,1,1)",
+                                                 "v": "1/3(1,1,2)"}
+                      and art.qhat.on_variety and not art.qhat.quasismooth,
+                      "points 1/2(1,1,1) and 1/3(1,1,2) plus the compound"
+                      " E6 point")
+                expected = 4 if nf.lam != 0 else 3
+                check("germ-table",
+                      art.germ.low_discrepancy_count == expected,
+                      f"{expected} divisors of discrepancy one over the"
+                      " compound E6 point")
+            elif stage == "exclusions":
+                r1, r2 = art
+                check("exclusion-blowups",
+                      r1.verdict.kind == "NotSarkisov"
+                      and r2.verdict.kind == "NotSarkisov"
+                      and r1.extraction.discrepancy == 1
+                      and r2.extraction.discrepancy == 1,
+                      "both discrepancy-one blowups leave the"
+                      " anticanonical class on the movable-cone boundary")
+            elif stage == "curves":
+                check("curve-exclusion", art.ok,
+                      "no curve of degree one passes through the compound"
+                      " E6 point")
+            elif stage == "involutions":
+                check("deck-involution", art.chi_preserves_model
+                      and art.chi_squared_identity,
+                      "the deck involution fixes the model equation"
+                      " exactly")
+                passed, total = _parallel_involution_check(
+                    nf, art.iota, args.samples, args.seed, spec.field,
+                    args.parallel)
+                check("involution-sampled", passed == total,
+                      f"{passed}/{total} sampled points verified")
+            elif stage == "classification":
+                check("classification", art.solid
+                      and art.citations == CITATIONS
+                      and art.elementary_from_qhat
+                      == (2 if nf.lam != 0 else 1),
+                      f"{1 + art.elementary_from_qhat} elementary links,"
+                      " four cited exclusions, member is birationally"
+                      " solid")
     except CertificateError as exc:
         steps.append({"name": "rejected", "passed": False,
                       "detail": str(exc)})

@@ -36,7 +36,7 @@ large prime field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .ambient import (
@@ -100,6 +100,7 @@ __all__ = [
     "construct_link_sigma",
     "exclude_degree_one_curves",
     "involution_tuple",
+    "link_stages",
     "normal_form_X1214",
     "random_member",
     "run_exclusion_blowups",
@@ -214,12 +215,6 @@ class ChangeOfCoordinates:
     inverse: dict
     multipliers: tuple
     steps: tuple
-
-    def forward_substitution(self):
-        return Substitution(self.ambient, self.ambient, self.forward)
-
-    def inverse_substitution(self):
-        return Substitution(self.ambient, self.ambient, self.inverse)
 
     def verify(self, originals, finals):
         """Both directions of the round trip, exactly."""
@@ -817,7 +812,7 @@ class CensusHatX:
     germ_equation: QPolynomial
 
 
-def singularity_census_hatX(hat, samples=20, seed=0, field=None):
+def singularity_census_hatX(hat):
     """Classify the coordinate points and the qhat germ of the model.
 
     Expected census: the two weight-1 points off the model, a terminal
@@ -1496,31 +1491,49 @@ class LinkClassification:
     summary: str
 
 
-def classify_links(F1, F2, samples=40, seed=0, trials=20):
-    """Classify the elementary links of a degree-(12, 14) member.
+def link_stages(F1, F2, samples=40, seed=0, trials=20, field=None):
+    """Run the pipeline on a degree-(12, 14) member, one stage at a time.
 
-    Runs the whole pipeline and assembles one report per candidate
-    center.  Exactly one elementary link leaves X (from the 1/11 point,
-    to the degree-7 model); on the model, the qhat germ carries one
-    link back for lam = 0 and additionally its twist by the deck
-    involution for lam != 0, all other centers being excluded by
-    computed certificates or cited statements.  Consistency between the
-    number of links at qhat and the germ's count of discrepancy-one
-    divisors is enforced.
+    Yields (name, artifact) as each stage completes, in this order:
+    "normal-form", "census", "sigma", "hat-census", "condition",
+    "exclusions", "curves", "involutions", "involution-check", and last
+    "classification", whose artifact is the assembled
+    LinkClassification.  A consumer that stops early skips the later
+    stages; a stage that fails raises, so the stages seen before it are
+    the ones that passed.  samples and seed drive the sampled checks
+    (the census of X and the involution check) over field, by default
+    F_(2^31-1); trials drives the witness searches.
+
+    Exactly one elementary link leaves X (from the 1/11 point, to the
+    degree-7 model); on the model, the qhat germ carries one link back
+    for lam = 0 and additionally its twist by the deck involution for
+    lam != 0, all other centers being excluded by computed certificates
+    or cited statements.  Consistency between the number of links at
+    qhat and the germ's count of discrepancy-one divisors is enforced.
     """
     nf = normal_form_X1214(F1, F2)
-    census = singularity_census_X(nf, samples=samples, seed=seed)
+    yield "normal-form", nf
+    census = singularity_census_X(nf, samples=samples, seed=seed,
+                                  field=field)
+    yield "census", census
     sigma = construct_link_sigma(nf)
+    yield "sigma", sigma
     hat = sigma.hat
-    hat_census = singularity_census_hatX(hat, samples=samples, seed=seed)
+    hat_census = singularity_census_hatX(hat)
+    yield "hat-census", hat_census
     condition = condition_check(hat, trials=trials)
+    yield "condition", condition
     exclusions = run_exclusion_blowups(hat, condition, trials=trials)
+    yield "exclusions", exclusions
     curves = exclude_degree_one_curves(hat)
+    yield "curves", curves
     involutions = build_involutions(nf, sigma)
+    yield "involutions", involutions
     inv_check = verify_involution((nf.F1, nf.F2), X_WPS, involutions.iota,
-                                  samples=samples, seed=seed)
+                                  samples=samples, seed=seed, field=field)
     _require(inv_check.ok,
              "the birational involution fails on sampled points")
+    yield "involution-check", inv_check
 
     qit = quadratic_involution_test(hat.F, "v")
     _require(qit.kind == "NotMaximal",
@@ -1625,7 +1638,7 @@ def classify_links(F1, F2, samples=40, seed=0, trials=20):
         " link(s) back, every other candidate center being excluded"
         " by the computed certificates or the cited statements"
     )
-    return LinkClassification(
+    yield "classification", LinkClassification(
         normal_form=nf, census=census, sigma=sigma,
         hat_census=hat_census, condition=condition, exclusions=exclusions,
         curves=curves, involutions=involutions,
@@ -1634,3 +1647,14 @@ def classify_links(F1, F2, samples=40, seed=0, trials=20):
         elementary_from_qhat=elementary_from_qhat, citations=citations,
         solid=True, summary=summary,
     )
+
+
+def classify_links(F1, F2, samples=40, seed=0, trials=20, field=None):
+    """Classify the elementary links of a degree-(12, 14) member.
+
+    Runs every stage of link_stages and returns the assembled
+    LinkClassification, one report per candidate center.
+    """
+    for _, artifact in link_stages(F1, F2, samples, seed, trials, field):
+        pass
+    return artifact

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 
 __all__ = [
     "Ambient",
@@ -188,18 +188,6 @@ class PrimeField:
 
         return sqrt_mod(a, self.p)
 
-    def nth_root(self, a, n):
-        """Some n-th root of a mod p, or None."""
-        a %= self.p
-        if a == 0:
-            return 0
-        from sympy.ntheory.residue_ntheory import nthroot_mod
-
-        try:
-            return nthroot_mod(a, n, self.p)
-        except ValueError:
-            return None
-
     def random(self, rng):
         return rng.randrange(self.p)
 
@@ -321,9 +309,6 @@ class Ambient:
         e[self.index(name)] = 1
         return QPolynomial(self, {tuple(e): self.field.one()})
 
-    def gens(self):
-        return tuple(self.var(n) for n in self.names)
-
     def monomial(self, exps, coeff=1):
         exps = tuple(int(e) for e in exps)
         if len(exps) != self.nvars or any(e < 0 for e in exps):
@@ -338,9 +323,6 @@ class Ambient:
 
     def extended(self, extra):
         return Ambient(self.names + tuple(extra), self.field)
-
-    def with_field(self, field):
-        return Ambient(self.names, field)
 
     def __eq__(self, other):
         return (
@@ -626,11 +608,6 @@ class QPolynomial:
             return None
         return min(w.weight(m) for m in self.terms)
 
-    def max_weight(self, w):
-        if not self.terms:
-            return None
-        return max(w.weight(m) for m in self.terms)
-
     def w_component(self, w, d):
         """Sum of terms of w-weight exactly d."""
         d = Fraction(d)
@@ -867,11 +844,6 @@ def w_component(f, w, d):
 
 def quasi_homogeneous_degree(f, w):
     return f.quasi_homogeneous_degree(w)
-
-
-def contains_monomial(f, mono):
-    """True if the given monomial occurs with nonzero coefficient."""
-    return not f.ambient.field.is_zero(f.coefficient(mono))
 
 
 # ---------------------------------------------------------------------------
@@ -1236,26 +1208,6 @@ def _scalar_rank(rows, field):
         if row == len(m):
             break
     return rank
-
-
-def generic_rank(matrix):
-    """Rank of a matrix of polynomials over the fraction field.
-
-    Determined by searching for a nonzero minor, largest first.  Intended
-    for small matrices (the jacobians of complete intersections).
-    """
-    from itertools import combinations
-
-    if not matrix:
-        return 0
-    nrows, ncols = len(matrix), len(matrix[0])
-    for size in range(min(nrows, ncols), 0, -1):
-        for ri in combinations(range(nrows), size):
-            for ci in combinations(range(ncols), size):
-                sub = [[matrix[i][j] for j in ci] for i in ri]
-                if not det(sub).is_zero():
-                    return size
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_criterion_2_link_to_the_degree_seven_model():
         # coefficient of y*z^2*v*u equals the transported lambda
         assert link.hat.F.coefficient((1, 0, 0, 0, 2)) == 1
         assert link.hat.F.coefficient((1, 1, 2, 0, 1)) == nf.lam
-        hat_census = singularity_census_hatX(link.hat, samples=5)
+        hat_census = singularity_census_hatX(link.hat)
         assert hat_census.qhat.point == "z"
         assert not hat_census.qhat.quasismooth
 
@@ -133,7 +133,7 @@ def test_criterion_3_census_of_the_model():
     with criterion("3. model census: exactly the points 1/2(1,1,1) at"
                    " p_t, 1/3(1,1,2) at p_v, and a compound E6 point"
                    " (exact)"):
-        census = singularity_census_hatX(_sigma().hat, samples=5)
+        census = singularity_census_hatX(_sigma().hat)
         labels = {p: q.type_label() for p, q in census.singular.items()}
         assert labels == {"t": "1/2(1,1,1)", "v": "1/3(1,1,2)"}
         assert all(q.is_terminal() for q in census.singular.values())
@@ -155,13 +155,12 @@ def test_criterion_4_germ_discrepancy_tables():
         assert [table.row(f"F{i}").discrepancy for i in (1, 2, 3, 4)] \
             == [Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(1)]
 
-        generic = singularity_census_hatX(_sigma().hat, samples=5).germ
+        generic = singularity_census_hatX(_sigma().hat).germ
         assert generic.parameters["lambda"] != 0
         assert generic.low_discrepancy_count == 4
         assert generic.row("F3").discrepancy == 1
 
-        degenerate = singularity_census_hatX(_sigma(True).hat,
-                                             samples=5).germ
+        degenerate = singularity_census_hatX(_sigma(True).hat).germ
         assert degenerate.parameters["lambda"] == 0
         assert degenerate.low_discrepancy_count == 3
         assert degenerate.row("F3").discrepancy == 2

@@ -188,6 +188,13 @@ class TestQsmooth:
         assert sampled["samples"] == 10
         assert sampled["all_quasismooth"] is True
 
+    def test_random_member_samples_over_fp(self, capsys):
+        report = run_json(["qsmooth", "--random", "7", "--samples", "10"],
+                          capsys)
+        sampled = step(report, "sampled")
+        assert sampled["field"] == "F_2147483647"
+        assert sampled["all_quasismooth"] is True
+
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(HAT_DOC)))
         report = run_json(["qsmooth", "-", "--samples", "2"], capsys)
@@ -274,6 +281,17 @@ class TestVerify:
         assert code == 0
         assert out.rstrip().endswith("all checks passed")
         assert "[PASS] census" in out
+
+    def test_rejection_keeps_the_passed_steps(self, capsys):
+        # seed 462 fails the compound E6 gate in the census of the model
+        code, out, err = run_cli(
+            ["verify-paper", "--seed", "462", "--samples", "10"], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert [s["name"] for s in report["steps"]] == [
+            "normal-form", "census", "extraction-discrepancy", "link-sigma",
+            "model-equation", "rejected"]
+        assert [s["passed"] for s in report["steps"]] == [True] * 5 + [False]
 
     def test_special_member_rejected(self, special_path, capsys):
         code, out, err = run_cli(["verify-paper", special_path], capsys)

@@ -18,6 +18,7 @@ from wcilinks.links import (
     construct_link_sigma,
     exclude_degree_one_curves,
     involution_tuple,
+    link_stages,
     normal_form_X1214,
     random_member,
     run_exclusion_blowups,
@@ -444,9 +445,23 @@ class TestClassification:
         cls = classify_links(*main_member, samples=5)
         assert len(cls.divisor_links) == cls.germ_count
 
+    def test_stages_land_on_the_classification(self, main_member):
+        stages = list(link_stages(*main_member, samples=5))
+        assert [name for name, _ in stages] == [
+            "normal-form", "census", "sigma", "hat-census", "condition",
+            "exclusions", "curves", "involutions", "involution-check",
+            "classification"]
+        art = dict(stages)
+        cls = art["classification"]
+        assert cls.normal_form is art["normal-form"]
+        assert cls.sigma is art["sigma"]
+        assert cls.involution_check is art["involution-check"]
+        assert cls.exclusions is art["exclusions"]
+
     def test_random_seeds(self):
-        for seed in (1, 4):
+        # the sampled checks run over the given field, by default F_(2^31-1)
+        for seed, field in ((1, None), (4, None), (7, GF(1000003))):
             F1, F2 = random_member(seed)
-            cls = classify_links(F1, F2, samples=5)
+            cls = classify_links(F1, F2, samples=5, field=field)
             assert cls.solid
             assert cls.citations == CITATIONS
