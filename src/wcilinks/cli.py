@@ -100,7 +100,10 @@ def load_input(document):
     if field_doc == "Q":
         field = QQ
     elif isinstance(field_doc, dict) and set(field_doc) == {"Fp"}:
-        field = GF(field_doc["Fp"])
+        try:
+            field = GF(field_doc["Fp"])
+        except ValueError as exc:
+            raise CliError(f"field: {exc}") from exc
     else:
         raise CliError('field must be "Q" or {"Fp": prime}')
 
@@ -114,6 +117,9 @@ def load_input(document):
                 or not all(isinstance(d, int) and d > 0 for d in degrees)):
             raise CliError("degrees must be positive integers")
         degrees = tuple(degrees)
+    if field != QQ and field.p <= max(weights + list(degrees or ())):
+        raise CliError(f"the field prime {field.p} must exceed every weight"
+                       " and every degree")
 
     member = document.get("member", "explicit")
     if member not in ("explicit", "random"):
@@ -324,17 +330,6 @@ def _text_lines(value, depth, skip=()):
 _CHUNK = 25
 
 
-def _poly_dump(f):
-    return [[list(e), _rat(c)] for e, c in sorted(f.terms.items())]
-
-
-def _poly_load(amb, data):
-    out = amb.zero()
-    for exps, coeff in data:
-        out = out + amb.monomial(tuple(exps), Fraction(coeff))
-    return out
-
-
 def _batches(total, seed):
     offset = 0
     while offset < total:
@@ -351,12 +346,8 @@ def _run_batches(worker, payloads, jobs):
 
 
 def _qsmooth_batch(payload):
-    weights, names, eq_data, prime, count, seed = payload
-    wps = WPS(tuple(weights), tuple(names))
-    base = wps.ambient()
-    eqs = tuple(_poly_load(base, d) for d in eq_data)
-    field = GF(prime) if prime else QQ
-    sampler = _Sampler(eqs, wps, field)
+    equations, wps, field, count, seed = payload
+    sampler = _Sampler(equations, wps, field)
     rng = random.Random(seed)
     good = 0
     for _ in range(count):
@@ -367,21 +358,14 @@ def _qsmooth_batch(payload):
 
 
 def _involution_batch(payload):
-    eq_data, image_data, prime, count, seed = payload
-    amb = X_WPS.ambient()
-    eqs = tuple(_poly_load(amb, d) for d in eq_data)
-    images = tuple(_poly_load(amb, d) for d in image_data)
-    field = GF(prime) if prime else QQ
-    out = verify_involution(eqs, X_WPS, images, samples=count, seed=seed,
-                            field=field)
+    equations, images, field, count, seed = payload
+    out = verify_involution(equations, X_WPS, images, samples=count,
+                            seed=seed, field=field)
     return out.passed, out.samples
 
 
 def _parallel_involution_check(nf, images, samples, seed, field, jobs):
-    eq_data = [_poly_dump(nf.F1), _poly_dump(nf.F2)]
-    image_data = [_poly_dump(e) for e in images]
-    prime = field.p if hasattr(field, "p") else None
-    payloads = [(eq_data, image_data, prime, count, s)
+    payloads = [((nf.F1, nf.F2), images, field, count, s)
                 for count, s in _batches(samples, seed)]
     results = _run_batches(_involution_batch, payloads, jobs)
     passed = sum(p for p, _ in results)
@@ -432,17 +416,14 @@ def cmd_qsmooth(args):
     steps = [{"name": "coordinate-points", "points": points,
               "non_quasismooth": bad}]
 
-    eq_data = [_poly_dump(f) for f in spec.equations]
-    prime = spec.field.p if hasattr(spec.field, "p") else None
-    payloads = [(list(spec.wps.weights), list(spec.wps.names), eq_data,
-                 prime, count, s)
+    payloads = [(spec.equations, spec.wps, spec.field, count, s)
                 for count, s in _batches(args.samples, args.seed)]
     results = _run_batches(_qsmooth_batch, payloads, args.parallel)
     good = sum(g for g, _ in results)
     total = sum(c for _, c in results)
     steps.append({
         "name": "sampled",
-        "field": "Q" if prime is None else f"F_{prime}",
+        "field": "Q" if spec.field == QQ else f"F_{spec.field.p}",
         "samples": total,
         "quasismooth_samples": good,
         "all_quasismooth": good == total,
@@ -732,26 +713,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub, samples_default=100):
+def _add_common(sub):
     sub.add_argument("input", nargs="?", default=None,
                      help="input JSON document ('-' for stdin)")
     sub.add_argument("--random", type=int, metavar="SEED", default=None,
                      help="use a dense random member of the standard"
                           " degree-(12,14) family instead of a file")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for sampled checks (default 0)")
-    sub.add_argument("--samples", type=int, default=samples_default,
-                     help=f"sampled points for spot checks"
-                          f" (default {samples_default})")
-    sub.add_argument("--trials", type=int, default=20,
-                     help="witness trials for irreducibility checks"
-                          " (default 20)")
     sub.add_argument("--field", choices=("fp", "q"), default=None,
                      help="field for sampled checks: fp is F_(2^31-1);"
                           " q is exact but point sampling over Q"
                           " rarely succeeds")
     sub.add_argument("--format", choices=("json", "text"),
                      default="json", help="output format")
+
+
+def _add_sampling(sub, samples_default=100):
+    sub.add_argument("--seed", type=int, default=0,
+                     help="seed for sampled checks (default 0)")
+    sub.add_argument("--samples", type=int, default=samples_default,
+                     help=f"sampled points for spot checks"
+                          f" (default {samples_default})")
+
+
+def _add_trials(sub):
+    sub.add_argument("--trials", type=int, default=20,
+                     help="witness trials for irreducibility checks"
+                          " (default 20)")
+
+
+def _add_parallel(sub):
     sub.add_argument("--parallel", type=int, default=0, metavar="N",
                      help="fan sampled batches over N worker processes")
 
@@ -775,6 +765,8 @@ def build_parser():
                           help="quasismoothness verdicts with sampled"
                                " evidence")
     _add_common(sub)
+    _add_sampling(sub)
+    _add_parallel(sub)
     sub.set_defaults(func=cmd_qsmooth)
 
     sub = subs.add_parser("blowup",
@@ -802,17 +794,23 @@ def build_parser():
                           help="construct the elementary link from the"
                                " 1/11 point")
     _add_common(sub)
+    _add_sampling(sub)
     sub.set_defaults(func=cmd_link)
 
     sub = subs.add_parser("classify",
                           help="the full elementary-link classification")
-    _add_common(sub, samples_default=40)
+    _add_common(sub)
+    _add_sampling(sub, samples_default=40)
+    _add_trials(sub)
     sub.set_defaults(func=cmd_classify)
 
     sub = subs.add_parser("verify-paper",
                           help="run the whole verification battery on a"
                                " seeded member")
     _add_common(sub)
+    _add_sampling(sub)
+    _add_trials(sub)
+    _add_parallel(sub)
     sub.set_defaults(func=cmd_verify_paper)
 
     return parser

@@ -57,6 +57,7 @@ from .qpoly import (
     QPolynomial,
     Substitution,
     WeightVector,
+    _univariate_gcd,
     divexact,
     divides,
     evaluate,
@@ -1167,24 +1168,6 @@ class CurveExclusion:
                 and self.surface["ok"] and self.common_root["ok"])
 
 
-def _gcd_degree_sympy(f, g, name):
-    """Degree of gcd of two univariate polynomials over Q, via sympy."""
-    import sympy
-
-    T = sympy.Symbol(name)
-
-    def to_sympy(p):
-        buckets = p.as_univariate(name)
-        expr = 0
-        for k, c in buckets.items():
-            if not c.is_constant():
-                raise ValueError("polynomial is not univariate")
-            expr += sympy.Rational(c.constant_coefficient()) * T**k
-        return sympy.Poly(expr, T)
-
-    return sympy.gcd(to_sympy(f), to_sympy(g)).degree()
-
-
 def exclude_degree_one_curves(hat):
     """Certify that no curve of degree one passes through qhat.
 
@@ -1277,7 +1260,9 @@ def exclude_degree_one_curves(hat):
     c_aff = substitute(hat.c6, {"y": hat_amb.one()}, hat_amb)
     res = resultant(a_aff, c_aff, "t")
     rval = res.constant_coefficient()
-    gcd_deg = _gcd_degree_sympy(a_aff, c_aff, "t")
+    gcd = _univariate_gcd([a_aff, c_aff], "t")
+    _require(gcd is not None, "a6(1, t) and c6(1, t) have no gcd in t")
+    gcd_deg = gcd.total_degree()
     common_root = {
         "resultant": rval,
         "gcd_degree": gcd_deg,

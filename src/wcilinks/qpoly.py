@@ -128,12 +128,45 @@ class RationalField:
         return hash("RationalField")
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorensen and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin primality for 1 < n < _MR_BOUND."""
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The prime field F_p with int coefficients reduced mod p."""
 
     def __init__(self, p):
-        if p < 2:
+        if not isinstance(p, int) or p < 2:
             raise ValueError("modulus must be a prime >= 2")
+        if p >= _MR_BOUND:
+            raise ValueError(f"modulus {p} is too large to certify prime")
+        if not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"F{p}"
         self.characteristic = p
@@ -180,13 +213,39 @@ class PrimeField:
         return pow(a, n, self.p)
 
     def sqrt(self, a):
-        """A square root of a mod p, or None if a is not a square."""
-        a %= self.p
-        if a == 0:
-            return 0
-        from sympy.ntheory.residue_ntheory import sqrt_mod
+        """The smaller square root of a mod p, or None for a non-square.
 
-        return sqrt_mod(a, self.p)
+        Euler's criterion detects non-squares; the root is a^((p+1)/4)
+        when p = 3 mod 4 and comes from Tonelli-Shanks otherwise.
+        """
+        p = self.p
+        a %= p
+        if a == 0 or p == 2:
+            return a
+        if pow(a, (p - 1) // 2, p) != 1:
+            return None
+        if p % 4 == 3:
+            r = pow(a, (p + 1) // 4, p)
+        else:
+            # p - 1 = q * 2^s with q odd; z is a non-square
+            q, s = p - 1, 0
+            while q % 2 == 0:
+                q //= 2
+                s += 1
+            z = 2
+            while pow(z, (p - 1) // 2, p) != p - 1:
+                z += 1
+            c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+            while t != 1:
+                # least i with t^(2^i) = 1
+                i, t2 = 0, t
+                while t2 != 1:
+                    t2 = t2 * t2 % p
+                    i += 1
+                b = pow(c, 1 << (s - i - 1), p)
+                s, c = i, b * b % p
+                t, r = t * c % p, r * b % p
+        return min(r, p - r)
 
     def random(self, rng):
         return rng.randrange(self.p)
@@ -1290,6 +1349,36 @@ def _coprime_set_certificate(polys, depth=6):
     return False
 
 
+def _trim(a, field):
+    """Drop the zero leading coefficients of a dense list (lowest first)."""
+    while a and field.is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def _rem(a, b, field):
+    """Remainder of dense a by the trimmed nonzero dense b."""
+    a = list(a)
+    inv = field.inv(b[-1])
+    while len(a) >= len(b) and a:
+        if field.is_zero(a[-1]):
+            a.pop()
+            continue
+        coef = field.mul(a[-1], inv)
+        shift = len(a) - len(b)
+        for i, bc in enumerate(b):
+            a[shift + i] = field.sub(a[shift + i], field.mul(coef, bc))
+        _trim(a, field)
+    return a
+
+
+def _euclid(a, b, field):
+    """A gcd of the trimmed dense lists a and b, not normalised."""
+    while b:
+        a, b = b, _rem(a, b, field)
+    return a
+
+
 def _univariate_gcd(polys, name):
     """Monic gcd of univariate polynomials via Euclid, or None on failure."""
     def to_list(p):
@@ -1302,41 +1391,15 @@ def _univariate_gcd(polys, name):
         return out
 
     field = polys[0].ambient.field
-
-    def trim(a):
-        while a and field.is_zero(a[-1]):
-            a.pop()
-        return a
-
-    def rem(a, b):
-        a = list(a)
-        inv = field.inv(b[-1])
-        while len(a) >= len(b) and a:
-            if field.is_zero(a[-1]):
-                a.pop()
-                continue
-            coef = field.mul(a[-1], inv)
-            shift = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[shift + i] = field.sub(a[shift + i], field.mul(coef, bc))
-            trim(a)
-        return a
-
     cur = None
     for p in polys:
         lst = to_list(p)
         if lst is None:
             return None
-        lst = trim(lst)
+        lst = _trim(lst, field)
         if not lst:
             continue
-        if cur is None:
-            cur = lst
-        else:
-            a, b = cur, lst
-            while b:
-                a, b = b, rem(a, b)
-            cur = a
+        cur = lst if cur is None else _euclid(cur, lst, field)
     if cur is None:
         return None
     ambient = polys[0].ambient
@@ -1421,14 +1484,64 @@ def _nonsquare_certificate(disc):
 
 
 def _fp_univariate_irreducible(coeffs, p):
-    """Irreducibility of a univariate polynomial over F_p via sympy."""
-    from sympy import GF as _SGF, Poly, symbols
+    """Irreducibility over F_p of sum coeffs[k] T^k, by Rabin's test.
 
-    T = symbols("T")
-    poly = Poly(list(reversed(coeffs)), T, domain=_SGF(p))
-    if poly.degree() <= 0:
+    A monic f of degree n is irreducible iff T^(p^n) = T mod f and
+    gcd(T^(p^(n/q)) - T, f) = 1 for every prime q dividing n (Rabin,
+    "Probabilistic algorithms in finite fields", SIAM J. Comput. 9, 1980).
+    The powers T^(p^k) come from T^p by the Frobenius matrix, whose
+    rows are T^(ip) mod f.
+    """
+    F = GF(p)
+    f = _trim([c % p for c in coeffs], F)
+    n = len(f) - 1
+    if n <= 0:
         return False
-    return poly.is_irreducible
+    if n == 1:
+        return True
+    if f[0] == 0:
+        return False  # T divides f
+    inv = F.inv(f[-1])
+    f = [c * inv % p for c in f]
+
+    def mulmod(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ac in enumerate(a):
+            for j, bc in enumerate(b):
+                out[i + j] = (out[i + j] + ac * bc) % p
+        return _rem(out, f, F)
+
+    # T^p mod f by repeated squaring
+    xp, base, e = [1], [0, 1], p
+    while e:
+        if e & 1:
+            xp = mulmod(xp, base)
+        base = mulmod(base, base)
+        e >>= 1
+    rows = [[1]]
+    for _ in range(n - 1):
+        rows.append(mulmod(rows[-1], xp))
+
+    def frobenius(g):
+        out = [0] * n
+        for gc, row in zip(g, rows):
+            for k, rc in enumerate(row):
+                out[k] = (out[k] + gc * rc) % p
+        return _trim(out, F)
+
+    powers = [None, xp]  # powers[k] = T^(p^k) mod f
+    for _ in range(1, n):
+        powers.append(frobenius(powers[-1]))
+    if powers[n] != [0, 1]:
+        return False
+    for q in range(2, n + 1):
+        if n % q or any(q % r == 0 for r in range(2, q)):
+            continue
+        h = powers[n // q] + [0] * 2
+        h[1] = (h[1] - 1) % p
+        if len(_euclid(f, _trim(h, F), F)) != 1:
+            return False
+    return True
 
 
 def irreducibility_verdict(f, trials=20, seed=0):

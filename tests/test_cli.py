@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wcilinks
 from wcilinks.cli import CliError, build_report, emit, load_input, main
 
 MAIN_F1 = ("w*x + y^6 + y^4*t + y^2*t^2 + t^3 + y*z*v + z^4"
@@ -137,6 +141,9 @@ class TestInputValidation:
         lambda d: dict(d, member="fancy"),
         lambda d: dict(d, member="random",
                        ambient={"weights": [1, 1], "vars": ["x", "y"]}),
+        lambda d: dict(d, field={"Fp": 2}),
+        lambda d: dict(d, field={"Fp": 9}),
+        lambda d: dict(d, field={"Fp": 13}),  # below the degree 14
     ])
     def test_rejected_documents(self, mangle):
         with pytest.raises(CliError):
@@ -351,7 +358,34 @@ class TestExitCodes:
             main(["frobnicate"])
         assert info.value.code == 1
 
-    def test_invalid_flag_value(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--format", "yaml"],
+        # flags a subcommand does not read are not registered on it
+        ["analyze", "--random", "7", "--parallel", "2"],
+        ["two-ray", "--random", "7", "--center", "w",
+         "--weights", "x=6,y=1,z=7,t=2,v=9", "--seed", "3"],
+    ], ids=["format-yaml", "analyze-parallel", "two-ray-seed"])
+    def test_invalid_flag_value(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["analyze", "--format", "yaml"])
+            main(argv)
         assert info.value.code == 1
+
+
+class TestRuntimeImports:
+    def test_no_sympy_at_runtime(self):
+        # a fresh interpreter: this test process imports sympy itself
+        src = os.path.dirname(os.path.dirname(wcilinks.__file__))
+        script = (
+            "import contextlib, io, sys\n"
+            "from wcilinks.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify-paper', '--seed', '7']) == 0\n"
+            "    assert main(['classify', '--random', '7']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('sympy', 'mpmath')))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ import sympy
 
 from wcilinks.qpoly import (
     Ambient,
+    DEFAULT_PRIME,
     ExactDivisionError,
     GF,
     QQ,
@@ -26,6 +27,7 @@ from wcilinks.qpoly import (
     substitute,
     toric_transform,
 )
+from wcilinks.qpoly import _fp_univariate_irreducible, _univariate_gcd
 
 
 @pytest.fixture
@@ -61,6 +63,36 @@ def test_prime_field_cached():
     assert GF(101) is GF(101)
     assert GF(101) == GF(101)
     assert GF(101) != GF(103)
+
+
+@pytest.mark.parametrize("modulus", [
+    0, 1, 4, 9, 15, 2047, 3215031751,  # the last two are strong pseudoprimes
+    2**89 - 1,  # prime, but past the deterministic Miller-Rabin range
+])
+def test_prime_field_rejects_unproven_moduli(modulus):
+    with pytest.raises(ValueError):
+        GF(modulus)
+
+
+def test_prime_field_accepts_primes():
+    for p in (2, 3, 13, 998244353, 2**61 - 1):
+        assert GF(p).p == p
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 101, 1000003, 998244353,
+                               DEFAULT_PRIME])
+def test_prime_field_sqrt_matches_sympy(p):
+    # 998244353 = 119 * 2^23 + 1 runs Tonelli-Shanks through 23 squarings
+    from sympy.ntheory.residue_ntheory import sqrt_mod
+
+    F = GF(p)
+    if p < 1000:
+        residues = range(p)
+    else:
+        rng = random.Random(p)
+        residues = [rng.randrange(p) for _ in range(2000)]
+    for a in residues:
+        assert F.sqrt(a) == (sqrt_mod(a, p) if a else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +388,29 @@ def test_resultant_matches_sympy(A):
     assert checked == 30
 
 
+def test_univariate_gcd_degree_matches_sympy():
+    B = Ambient(("t", "s"), QQ)
+    T = sympy.Symbol("t")
+    rng = random.Random(11)
+
+    def rand_poly(deg):
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                  for _ in range(deg)] + [Fraction(rng.randint(1, 5))]
+        return QPolynomial(B, {(k, 0): c for k, c in enumerate(coeffs)})
+
+    def to_sympy(f):
+        return sympy.Poly(sum(sympy.Rational(c) * T**m[0]
+                              for m, c in f.terms.items()), T)
+
+    for _ in range(60):
+        common = rand_poly(rng.randint(0, 3))
+        f = common * rand_poly(rng.randint(0, 4))
+        g = common * rand_poly(rng.randint(0, 4))
+        expected = sympy.gcd(to_sympy(f), to_sympy(g)).degree()
+        assert _univariate_gcd([f, g], "t").total_degree() == expected
+    assert _univariate_gcd([B.parse("t*s"), B.parse("t")], "t") is None
+
+
 def test_resultant_detects_common_factor(A):
     common = A.parse("x + y*z")
     f = common * A.parse("x - y")
@@ -482,6 +537,20 @@ def test_verdict_reducible_factors_verify(A):
     if v.is_reducible:
         a, b = v.factors
         assert a * b == f
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, DEFAULT_PRIME])
+def test_fp_irreducibility_matches_sympy(p):
+    T = sympy.Symbol("T")
+    rng = random.Random(p)
+    for deg in range(1, 10):
+        for _ in range(30):
+            coeffs = ([rng.randrange(p) for _ in range(deg)]
+                      + [rng.randrange(1, p)])
+            poly = sympy.Poly(list(reversed(coeffs)), T,
+                              domain=sympy.GF(p))
+            assert _fp_univariate_irreducible(coeffs, p) == \
+                poly.is_irreducible, coeffs
 
 
 def test_verdict_random_line_witness():
