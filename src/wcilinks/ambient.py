@@ -335,9 +335,6 @@ class Rank2Toric:
     def ray(self, name):
         return _primitive(self.column(name))
 
-    def divisor_class(self, name):
-        return DivisorClass(*self.column(name))
-
     def group1(self):
         return self.names[: self.group1_size]
 

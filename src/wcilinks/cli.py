@@ -43,7 +43,6 @@ from .links import (
     classify_links,
     link_stages,
     random_member,
-    verify_involution,
 )
 from .qpoly import Ambient, DEFAULT_PRIME, GF, QQ, WeightVector, substitute
 from .singular import (
@@ -357,22 +356,6 @@ def _qsmooth_batch(payload):
     return good, count
 
 
-def _involution_batch(payload):
-    equations, images, field, count, seed = payload
-    out = verify_involution(equations, X_WPS, images, samples=count,
-                            seed=seed, field=field)
-    return out.passed, out.samples
-
-
-def _parallel_involution_check(nf, images, samples, seed, field, jobs):
-    payloads = [((nf.F1, nf.F2), images, field, count, s)
-                for count, s in _batches(samples, seed)]
-    results = _run_batches(_involution_batch, payloads, jobs)
-    passed = sum(p for p, _ in results)
-    total = sum(c for _, c in results)
-    return passed, total
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -507,8 +490,8 @@ def cmd_two_ray(args):
 def cmd_link(args):
     spec = _spec_from_args(args)
     F1, F2 = _standard_member(spec)
-    stages = link_stages(F1, F2, samples=min(args.samples, 20),
-                         seed=args.seed, field=spec.field)
+    stages = link_stages(F1, F2, samples=args.samples, seed=args.seed,
+                         field=spec.field)
     (_, nf), (_, census), (_, link) = islice(stages, 3)
     steps = [
         {"name": "normal-form",
@@ -607,8 +590,8 @@ def cmd_verify_paper(args):
     status = "ok"
     code = 0
     try:
-        for stage, art in link_stages(F1, F2, samples=20, seed=args.seed,
-                                      trials=args.trials,
+        for stage, art in link_stages(F1, F2, samples=args.samples,
+                                      seed=args.seed, trials=args.trials,
                                       field=spec.field):
             if stage == "normal-form":
                 nf = art
@@ -665,11 +648,9 @@ def cmd_verify_paper(args):
                       and art.chi_squared_identity,
                       "the deck involution fixes the model equation"
                       " exactly")
-                passed, total = _parallel_involution_check(
-                    nf, art.iota, args.samples, args.seed, spec.field,
-                    args.parallel)
-                check("involution-sampled", passed == total,
-                      f"{passed}/{total} sampled points verified")
+            elif stage == "involution-check":
+                check("involution-sampled", art.passed == art.samples,
+                      f"{art.passed}/{art.samples} sampled points verified")
             elif stage == "classification":
                 check("classification", art.solid
                       and art.citations == CITATIONS
@@ -727,10 +708,23 @@ def _add_common(sub):
                      default="json", help="output format")
 
 
+def _positive_int(text):
+    """argparse type of a count: a positive integer, else exit 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer")
+    return value
+
+
 def _add_sampling(sub, samples_default=100):
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for sampled checks (default 0)")
-    sub.add_argument("--samples", type=int, default=samples_default,
+    sub.add_argument("--samples", type=_positive_int,
+                     default=samples_default,
                      help=f"sampled points for spot checks"
                           f" (default {samples_default})")
 
@@ -739,11 +733,6 @@ def _add_trials(sub):
     sub.add_argument("--trials", type=int, default=20,
                      help="witness trials for irreducibility checks"
                           " (default 20)")
-
-
-def _add_parallel(sub):
-    sub.add_argument("--parallel", type=int, default=0, metavar="N",
-                     help="fan sampled batches over N worker processes")
 
 
 def build_parser():
@@ -766,7 +755,8 @@ def build_parser():
                                " evidence")
     _add_common(sub)
     _add_sampling(sub)
-    _add_parallel(sub)
+    sub.add_argument("--parallel", type=int, default=0, metavar="N",
+                     help="fan sampled batches over N worker processes")
     sub.set_defaults(func=cmd_qsmooth)
 
     sub = subs.add_parser("blowup",
@@ -810,7 +800,6 @@ def build_parser():
     _add_common(sub)
     _add_sampling(sub)
     _add_trials(sub)
-    _add_parallel(sub)
     sub.set_defaults(func=cmd_verify_paper)
 
     return parser

@@ -76,6 +76,7 @@ from .singular import (
 )
 
 __all__ = [
+    "CENSUS_SAMPLES",
     "CITATIONS",
     "CensusHatX",
     "CensusX",
@@ -535,7 +536,13 @@ class CensusX:
         return self.spec.fano_index
 
 
-def singularity_census_X(nf, samples=20, seed=0, field=None):
+# the sampled quasismoothness evidence of the census of X needs few
+# points: the coordinate points and the singular stratum are certified
+# exactly, so link_stages caps the census draws at this count
+CENSUS_SAMPLES = 20
+
+
+def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, field=None):
     """Classify all coordinate points of the member and its strata.
 
     Expects exactly one singular coordinate point, of terminal type
@@ -1485,9 +1492,10 @@ def link_stages(F1, F2, samples=40, seed=0, trials=20, field=None):
     "classification", whose artifact is the assembled
     LinkClassification.  A consumer that stops early skips the later
     stages; a stage that fails raises, so the stages seen before it are
-    the ones that passed.  samples and seed drive the sampled checks
-    (the census of X and the involution check) over field, by default
-    F_(2^31-1); trials drives the witness searches.
+    the ones that passed.  seed drives the sampled checks over field,
+    by default F_(2^31-1): the involution check draws samples points and
+    the census of X draws min(samples, CENSUS_SAMPLES); trials drives
+    the witness searches.
 
     Exactly one elementary link leaves X (from the 1/11 point, to the
     degree-7 model); on the model, the qhat germ carries one link back
@@ -1498,8 +1506,8 @@ def link_stages(F1, F2, samples=40, seed=0, trials=20, field=None):
     """
     nf = normal_form_X1214(F1, F2)
     yield "normal-form", nf
-    census = singularity_census_X(nf, samples=samples, seed=seed,
-                                  field=field)
+    census = singularity_census_X(nf, samples=min(samples, CENSUS_SAMPLES),
+                                  seed=seed, field=field)
     yield "census", census
     sigma = construct_link_sigma(nf)
     yield "sigma", sigma

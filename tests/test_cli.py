@@ -1,5 +1,6 @@
 """Command-line interface: input validation, reports, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import wcilinks
+import wcilinks.links
 from wcilinks.cli import CliError, build_report, emit, load_input, main
 
 MAIN_F1 = ("w*x + y^6 + y^4*t + y^2*t^2 + t^3 + y*z*v + z^4"
@@ -307,6 +309,24 @@ class TestVerify:
         assert report["status"] == "rejected"
         assert report["result"] == "checks failed"
 
+    def test_one_sampled_involution_check(self, capsys, monkeypatch):
+        # --samples sets the pipeline's own involution check, which is
+        # the only one
+        calls = []
+        inner = wcilinks.links.verify_involution
+
+        def counted(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            calls.append(out.samples)
+            return out
+
+        monkeypatch.setattr(wcilinks.links, "verify_involution", counted)
+        report = run_json(["verify-paper", "--seed", "7", "--samples", "30"],
+                          capsys)
+        assert calls == [30]
+        assert step(report, "involution-sampled")["detail"] == (
+            "30/30 sampled points verified")
+
 
 class TestDeterminism:
     def test_classify_byte_identical(self, member_path, capsys):
@@ -316,13 +336,34 @@ class TestDeterminism:
                          capsys)
         assert first == second
 
-    def test_parallel_matches_serial(self, capsys):
-        serial = run_cli(
-            ["verify-paper", "--seed", "2", "--samples", "20"], capsys)
-        fanned = run_cli(
-            ["verify-paper", "--seed", "2", "--samples", "20",
-             "--parallel", "2"], capsys)
+    def test_parallel_matches_serial(self, member_path, capsys):
+        serial = run_cli(["qsmooth", member_path, "--samples", "60"],
+                         capsys)
+        fanned = run_cli(["qsmooth", member_path, "--samples", "60",
+                          "--parallel", "2"], capsys)
         assert serial == fanned
+
+    # the first 16 hex digits of sha256(stdout), frozen: a change that
+    # must keep the reports byte-identical keeps these
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["verify-paper", "--seed", "7"], 0, "e5b8dc2a29408c8b"),
+        (["verify-paper", "--seed", "462", "--samples", "10"], 2,
+         "bdc0dbe03325d772"),
+        (["classify", "--random", "7", "--samples", "5"], 0,
+         "4b10b5471419b97d"),
+        (["link", "--random", "7", "--samples", "5"], 0,
+         "097a2b78487874c1"),
+        (["qsmooth", "MEMBER", "--samples", "60"], 0, "27bf3259f40507e4"),
+        (["qsmooth", "MEMBER", "--samples", "60", "--parallel", "2"], 0,
+         "27bf3259f40507e4"),
+    ], ids=["verify-7", "verify-462-rejected", "classify-7", "link-7",
+            "qsmooth-member", "qsmooth-member-parallel"])
+    def test_frozen_report_bytes(self, argv, code, digest, member_path,
+                                 capsys):
+        argv = [member_path if a == "MEMBER" else a for a in argv]
+        got, out, err = run_cli(argv, capsys)
+        assert got == code, err
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 class TestExitCodes:
@@ -364,7 +405,16 @@ class TestExitCodes:
         ["analyze", "--random", "7", "--parallel", "2"],
         ["two-ray", "--random", "7", "--center", "w",
          "--weights", "x=6,y=1,z=7,t=2,v=9", "--seed", "3"],
-    ], ids=["format-yaml", "analyze-parallel", "two-ray-seed"])
+        ["verify-paper", "--seed", "2", "--parallel", "2"],
+        # a sample count must be positive: none is no evidence
+        ["classify", "--random", "7", "--samples", "-5"],
+        ["link", "--random", "7", "--samples", "-2"],
+        ["qsmooth", "--random", "7", "--samples", "0"],
+        ["verify-paper", "--seed", "7", "--samples", "0"],
+    ], ids=["format-yaml", "analyze-parallel", "two-ray-seed",
+            "verify-paper-parallel", "classify-samples-negative",
+            "link-samples-negative", "qsmooth-samples-zero",
+            "verify-paper-samples-zero"])
     def test_invalid_flag_value(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -6,6 +6,7 @@ import pytest
 
 from wcilinks.ambient import ConeZ2, DivisorClass
 from wcilinks.links import (
+    CENSUS_SAMPLES,
     CITATIONS,
     CertificateError,
     HAT_WPS,
@@ -457,6 +458,16 @@ class TestClassification:
         assert cls.sigma is art["sigma"]
         assert cls.involution_check is art["involution-check"]
         assert cls.exclusions is art["exclusions"]
+        assert art["census"].samples == 5
+        assert art["involution-check"].samples == 5
+
+    def test_census_draws_are_capped(self, main_member):
+        # the involution check draws every requested point, the census
+        # of X at most CENSUS_SAMPLES
+        art = dict(link_stages(*main_member, samples=30))
+        assert art["census"].samples == CENSUS_SAMPLES == 20
+        assert art["involution-check"].samples == 30
+        assert art["involution-check"].passed == 30
 
     def test_random_seeds(self):
         # the sampled checks run over the given field, by default F_(2^31-1)
