@@ -530,7 +530,7 @@ def cmd_link(args):
 def cmd_classify(args):
     spec = _spec_from_args(args)
     F1, F2 = _standard_member(spec)
-    cls = classify_links(F1, F2, samples=min(args.samples, 40),
+    cls = classify_links(F1, F2, samples=args.samples,
                          seed=args.seed, trials=args.trials,
                          field=spec.field)
     steps = [{"name": "normal-form",

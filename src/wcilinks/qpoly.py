@@ -286,6 +286,30 @@ def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _mul_terms(s, o, field):
+    """Product of the term dicts s and o, cancelled terms dropped.
+
+    The outer loop runs over the shorter dict (over s on a tie), so the
+    terms come out in the same order for the same operands.
+    """
+    if len(s) > len(o):
+        a, b = s, o
+    else:
+        a, b = o, s
+    terms = {}
+    for mb, cb in b.items():
+        for ma, ca in a.items():
+            m = _mono_mul(ma, mb)
+            c = field.mul(ca, cb)
+            if m in terms:
+                c = field.add(terms[m], c)
+                if field.is_zero(c):
+                    del terms[m]
+                    continue
+            terms[m] = c
+    return terms
+
+
 def _mono_divides(a, b):
     """True if monomial a divides monomial b."""
     return all(x <= y for x, y in zip(a, b))
@@ -485,25 +509,9 @@ class QPolynomial:
     def __mul__(self, other):
         other = self._coerce_operand(other)
         self._check(other)
-        field = self.ambient.field
-        if len(self.terms) > len(other.terms):
-            a, b = self.terms, other.terms
-        else:
-            a, b = other.terms, self.terms
-        terms = {}
-        for mb, cb in b.items():
-            for ma, ca in a.items():
-                m = _mono_mul(ma, mb)
-                c = field.mul(ca, cb)
-                if m in terms:
-                    s = field.add(terms[m], c)
-                    if field.is_zero(s):
-                        del terms[m]
-                    else:
-                        terms[m] = s
-                else:
-                    terms[m] = c
-        return QPolynomial(self.ambient, terms)
+        return QPolynomial(
+            self.ambient, _mul_terms(self.terms, other.terms, self.ambient.field)
+        )
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -915,6 +923,12 @@ class Substitution:
     mapping sends variable names to polynomials over the target ambient.
     Variables absent from the mapping are sent to the variable of the same
     name in the target ambient.
+
+    An image of at most one term acts on the exponents of each source
+    term: it shifts them and scales the coefficient, and a zero image
+    drops the term.  The images of several terms are expanded once per
+    pattern of their exponents, and every term of the result is summed
+    into one dict in the order of the source terms.
     """
 
     def __init__(self, source, target, mapping):
@@ -934,35 +948,93 @@ class Substitution:
             else:
                 images.append(None)  # error only if the variable occurs
         self.images = tuple(images)
+        # source positions by the shape of their image
+        self._missing = []
+        self._zero = []
+        self._monomial = []  # (position, exponent shift, coefficient or None)
+        self._multi = []
+        for i, img in enumerate(images):
+            if img is None:
+                self._missing.append(i)
+            elif not img.terms:
+                self._zero.append(i)
+            elif len(img.terms) == 1:
+                (mono, c), = img.terms.items()
+                shift = tuple((j, k) for j, k in enumerate(mono) if k)
+                if c == target.field.one():
+                    c = None
+                self._monomial.append((i, shift, c))
+            else:
+                self._multi.append(i)
 
     def __call__(self, f):
         if f.ambient != self.source:
             f = f.rename(self.source)
-        target = self.target
-        field = target.field
-        # cache powers of each image
-        powers = [{0: target.one()} for _ in self.images]
-        result = target.zero()
+        field = self.target.field
+        nvars = self.target.nvars
+        multi = self._multi
+        # powers and products of the multi-term images, for this call only
+        powers = {i: {1: self.images[i].terms} for i in multi}
+        products = {}
+        terms = {}
         for m, c in f.terms.items():
-            piece = target.const(c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                if self.images[i] is None:
+            c = field.coerce(c)
+            for i in self._missing:
+                if m[i]:
                     raise ValueError(
                         f"variable {self.source.names[i]!r} occurs but has no"
-                        f" image in {target.names}"
+                        f" image in {self.target.names}"
                     )
-                cache = powers[i]
-                if e not in cache:
-                    base = self.images[i]
-                    acc = cache[max(cache)]
-                    for k in range(max(cache) + 1, e + 1):
-                        acc = acc * base
-                        cache[k] = acc
-                piece = piece * cache[e]
-            result = result + piece
-        return result
+            if field.is_zero(c) or any(m[i] for i in self._zero):
+                continue
+            shifted = [0] * nvars
+            for i, shift, ci in self._monomial:
+                e = m[i]
+                if e:
+                    for j, k in shift:
+                        shifted[j] += e * k
+                    if ci is not None:
+                        c = field.mul(c, field.pow(ci, e))
+            pattern = tuple(m[i] for i in multi)
+            if any(pattern):
+                product = products.get(pattern)
+                if product is None:
+                    product = products[pattern] = self._expand(
+                        pattern, powers, field
+                    )
+                pieces = [
+                    (_mono_mul(pm, shifted), field.mul(pc, c))
+                    for pm, pc in product.items()
+                ]
+            else:
+                pieces = [(tuple(shifted), c)]
+            for key, c in pieces:
+                if key in terms:
+                    c = field.add(terms[key], c)
+                    if field.is_zero(c):
+                        del terms[key]
+                        continue
+                terms[key] = c
+        return QPolynomial(self.target, terms)
+
+    def _expand(self, pattern, powers, field):
+        """Term dict of the product of the multi-term images' powers."""
+        product = None
+        for i, e in zip(self._multi, pattern):
+            if not e:
+                continue
+            cache = powers[i]
+            if e not in cache:
+                top = max(cache)
+                acc = cache[top]
+                for k in range(top + 1, e + 1):
+                    acc = _mul_terms(acc, cache[1], field)
+                    cache[k] = acc
+            if product is None:
+                product = cache[e]
+            else:
+                product = _mul_terms(product, cache[e], field)
+        return product
 
 
 def substitute(f, mapping, target=None):

@@ -27,6 +27,13 @@ MEMBER_DOC = {
     "seed": 0,
 }
 
+# the same member with the y*z*v coupling removed: lambda = 0, the
+# one-link branch
+LAM0_F1 = ("w*x + y^6 + y^4*t + y^2*t^2 + t^3 + z^4"
+           " + z^2*y*(y^2 + t) + x^12")
+
+LAM0_DOC = dict(MEMBER_DOC, equations=[LAM0_F1, MAIN_F2])
+
 # the degree-7 model of the member above, in its own coordinates and in
 # the coordinates used for the exclusion blowups (z and x swapped in for
 # u and z, w for v)
@@ -72,6 +79,11 @@ def _write(tmp_path_factory, name, doc):
 @pytest.fixture(scope="module")
 def member_path(tmp_path_factory):
     return _write(tmp_path_factory, "member.json", MEMBER_DOC)
+
+
+@pytest.fixture(scope="module")
+def lam0_path(tmp_path_factory):
+    return _write(tmp_path_factory, "lam0.json", LAM0_DOC)
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +284,15 @@ class TestClassify:
         assert germ["low_discrepancy_count"] == 4
         assert len(germ["divisor_links"]) == 4
 
+    def test_samples_are_honoured(self, capsys):
+        # --samples sets the involution check as given, above the
+        # default of 40 too
+        report = run_json(["classify", "--random", "7", "--samples", "41"],
+                          capsys)
+        summary = step(report, "summary")
+        assert summary["involution_samples"] == 41
+        assert summary["involution_passed"] == 41
+
 
 class TestVerify:
     def test_seeded_battery_passes(self, capsys):
@@ -356,11 +377,15 @@ class TestDeterminism:
         (["qsmooth", "MEMBER", "--samples", "60"], 0, "27bf3259f40507e4"),
         (["qsmooth", "MEMBER", "--samples", "60", "--parallel", "2"], 0,
          "27bf3259f40507e4"),
+        (["classify", "LAM0", "--samples", "5"], 0, "8eb647086789df86"),
+        (["verify-paper", "LAM0", "--samples", "5"], 0, "82b4d8d033f6f62e"),
     ], ids=["verify-7", "verify-462-rejected", "classify-7", "link-7",
-            "qsmooth-member", "qsmooth-member-parallel"])
+            "qsmooth-member", "qsmooth-member-parallel", "classify-lam0",
+            "verify-lam0"])
     def test_frozen_report_bytes(self, argv, code, digest, member_path,
-                                 capsys):
-        argv = [member_path if a == "MEMBER" else a for a in argv]
+                                 lam0_path, capsys):
+        paths = {"MEMBER": member_path, "LAM0": lam0_path}
+        argv = [paths.get(a, a) for a in argv]
         got, out, err = run_cli(argv, capsys)
         assert got == code, err
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

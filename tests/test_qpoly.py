@@ -291,6 +291,113 @@ def test_substitute_missing_target_variable_errors(A):
         Substitution(A, target, {"x": target.var("y")})(f)
 
 
+def test_substitute_error_names_the_variable_without_image(A):
+    target = Ambient(("x", "y"), QQ)
+    sub = Substitution(A, target, {"x": target.var("y")})
+    with pytest.raises(ValueError, match="variable 'z' occurs"):
+        sub(A.parse("x + z"))
+    # z has no image, but it does not occur here
+    assert sub(A.parse("x^2 + 3*y")) == target.parse("y^2 + 3*y")
+
+
+def test_substitute_zero_image_drops_exactly_the_terms_with_it(A):
+    f = A.parse("x^2*y + x*z - 2*y^3 + z + 5")
+    assert substitute(f, {"x": 0}, A) == A.parse("-2*y^3 + z + 5")
+    g = substitute(f, {"x": 0, "y": A.parse("y + z")}, A)
+    assert g == A.parse("-2*(y + z)^3 + z + 5")
+
+
+def _reference_substitute(sub, f):
+    """The substitution as first written: per source term a constant,
+    times the cached powers of the images, added to the result."""
+    if f.ambient != sub.source:
+        f = f.rename(sub.source)
+    target = sub.target
+    powers = [{0: target.one()} for _ in sub.images]
+    result = target.zero()
+    for m, c in f.terms.items():
+        piece = target.const(c)
+        for i, e in enumerate(m):
+            if e == 0:
+                continue
+            if sub.images[i] is None:
+                raise ValueError(f"variable {sub.source.names[i]!r} occurs")
+            cache = powers[i]
+            while e not in cache:
+                top = max(cache)
+                cache[top + 1] = cache[top] * sub.images[i]
+            piece = piece * cache[e]
+        result = result + piece
+    return result
+
+
+_IMAGE_KINDS = ("zero", "constant", "monomial", "scaled", "multi")
+
+
+def _random_image(rng, target, kind):
+    def exps():
+        return tuple(rng.randint(0, 2) for _ in target.names)
+
+    if kind == "zero":
+        return target.zero()
+    if kind == "constant":
+        return target.const(rng.choice([-3, -1, 2, Fraction(5, 7)]))
+    if kind == "monomial":
+        return target.monomial(exps())
+    if kind == "scaled":
+        return target.monomial(exps(), rng.choice([Fraction(-2, 3), 4, -1]))
+    f = target.zero()
+    while len(f.terms) < 2:
+        f = f + target.monomial(exps(), rng.randint(-3, 3))
+    return f
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_substitute_matches_reference(field):
+    # term for term and in the same order, so that every later loop over
+    # the terms of a result runs as it did with the reference
+    rng = random.Random(20)
+    source = Ambient(("x", "y", "z", "t"), field)
+    shuffled = Ambient(("t", "z", "y", "x"), field)
+    target = Ambient(("t", "s", "u", "x"), field)
+    repeated = cancelled = 0
+    for case in range(150):
+        mapping = {}
+        for n in source.names:
+            if n in target.names and rng.random() < 0.2:
+                continue  # passes through to the variable of that name
+            kind = rng.choice(_IMAGE_KINDS + ("multi",))
+            mapping[n] = _random_image(rng, target, kind)
+        g = QPolynomial(source, {
+            tuple(rng.randint(0, 3) for _ in range(4)):
+                field.coerce(rng.randint(-5, 5))
+            for _ in range(rng.randint(1, 12))})
+        if case % 3 == 0:
+            # x and y share an image: g minus g with x and y swapped
+            # goes to zero, and adding h leaves only h's image
+            mapping["y"] = mapping.get("x", target.var("x"))
+            swapped = QPolynomial(source, {
+                (m[1], m[0]) + m[2:]: c for m, c in g.terms.items()})
+            h = QPolynomial(source, {(0, 0, 1, 1): field.one()})
+            f = g - swapped + (h if case % 2 else source.zero())
+        else:
+            f = g
+        if case % 4 == 1:
+            f = f.rename(shuffled)
+        sub = Substitution(source, target, mapping)
+        multi = [i for i, img in enumerate(sub.images)
+                 if len(img.terms) > 1]
+        patterns = [tuple(m[i] for i in multi) for m in f.rename(source).terms]
+        repeated += bool(multi) and len(set(patterns)) < len(patterns)
+        got = sub(f)
+        want = _reference_substitute(sub, f)
+        assert got.ambient == target
+        assert list(got.terms.items()) == list(want.terms.items())
+        cancelled += not f.is_zero() and got.is_zero()
+    assert repeated >= 30
+    assert cancelled >= 10
+
+
 def test_rename_by_name(A):
     B = Ambient(("z", "y", "x", "w"), QQ)
     f = A.parse("x^2*y - z")
