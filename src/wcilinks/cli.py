@@ -49,7 +49,6 @@ from .singular import (
     Germ,
     classify_quotient_singularity,
     discrepancy_chart_oracle,
-    quasismooth_at_sample,
 )
 
 __all__ = ["build_parser", "emit", "load_input", "main"]
@@ -344,16 +343,22 @@ def _run_batches(worker, payloads, jobs):
     return [worker(p) for p in payloads]
 
 
-def _qsmooth_batch(payload):
-    equations, wps, field, count, seed = payload
+def _qsmooth_batches(payload):
+    """(quasismooth points, points) over the batches of one job.
+
+    The batches of a job share one sampler, so its Jacobian is derived
+    once; each batch draws from its own seed, so the points do not
+    depend on how the batches are shared out among the jobs.
+    """
+    equations, wps, field, batches = payload
     sampler = _Sampler(equations, wps, field)
-    rng = random.Random(seed)
-    good = 0
-    for _ in range(count):
-        pt = sampler.draw(rng)
-        if quasismooth_at_sample(sampler.eqs, pt):
-            good += 1
-    return good, count
+    good = total = 0
+    for count, seed in batches:
+        rng = random.Random(seed)
+        good += sum(1 for _ in range(count)
+                    if sampler.quasismooth(sampler.draw(rng)))
+        total += count
+    return good, total
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +404,11 @@ def cmd_qsmooth(args):
     steps = [{"name": "coordinate-points", "points": points,
               "non_quasismooth": bad}]
 
-    payloads = [(spec.equations, spec.wps, spec.field, count, s)
-                for count, s in _batches(args.samples, args.seed)]
-    results = _run_batches(_qsmooth_batch, payloads, args.parallel)
+    batches = list(_batches(args.samples, args.seed))
+    jobs = min(max(args.parallel, 1), len(batches))
+    payloads = [(spec.equations, spec.wps, spec.field, batches[k::jobs])
+                for k in range(jobs)]
+    results = _run_batches(_qsmooth_batches, payloads, jobs)
     good = sum(g for g, _ in results)
     total = sum(c for _, c in results)
     steps.append({

@@ -52,6 +52,7 @@ from .ambient import (
 from .qpoly import (
     Ambient,
     DEFAULT_PRIME,
+    Evaluator,
     GF,
     QQ,
     QPolynomial,
@@ -60,8 +61,9 @@ from .qpoly import (
     _univariate_gcd,
     divexact,
     divides,
-    evaluate,
     irreducibility_verdict,
+    jacobian_evaluator,
+    rank_at,
     resultant,
     substitute,
 )
@@ -71,7 +73,6 @@ from .singular import (
     classify_quotient_singularity,
     discrepancy_chart_oracle,
     quadratic_involution_test,
-    quasismooth_at_sample,
     quasismooth_on_stratum,
 )
 
@@ -439,7 +440,11 @@ class _Sampler:
     complete intersection additionally has a final coordinate appearing
     linearly in both equations, which is eliminated first.  A draw picks
     the free coordinates at random, solves the quadratic when its
-    discriminant is a square in the field, and back-substitutes.
+    discriminant is a square in the field, and back-substitutes.  The
+    polynomials a draw evaluates are lowered once, into Evaluators.
+
+    points(n, seed) keeps the points drawn for a seed, so checks that
+    share a sampler and a seed read the same points and draw each once.
     """
 
     def __init__(self, equations, wps, field):
@@ -454,10 +459,11 @@ class _Sampler:
             if f1.degree_in(self.lin) != 1 or f2.degree_in(self.lin) != 1:
                 raise ValueError(
                     "expected both equations linear in the last coordinate")
-            self.lin_coeff = f1.coefficient_of_power(self.lin, 1)
-            self.lin_rest = f1.coefficient_of_power(self.lin, 0)
-            g = (f2.coefficient_of_power(self.lin, 0) * self.lin_coeff
-                 - f2.coefficient_of_power(self.lin, 1) * self.lin_rest)
+            lin_coeff = f1.coefficient_of_power(self.lin, 1)
+            lin_rest = f1.coefficient_of_power(self.lin, 0)
+            self.linear = Evaluator((lin_coeff, lin_rest))
+            g = (f2.coefficient_of_power(self.lin, 0) * lin_coeff
+                 - f2.coefficient_of_power(self.lin, 1) * lin_rest)
         elif len(eqs) == 1:
             self.lin = None
             quad = names[-1]
@@ -468,13 +474,15 @@ class _Sampler:
             raise ValueError(
                 f"the eliminated equation is not quadratic in {quad}")
         self.quad = quad
-        self.qa = g.coefficient_of_power(quad, 2)
-        self.qb = g.coefficient_of_power(quad, 1)
-        self.qc = g.coefficient_of_power(quad, 0)
+        self.quadratic = Evaluator(g.coefficient_of_power(quad, k)
+                                   for k in (2, 1, 0))
+        self.eqs_at = Evaluator(eqs)
         self.vslot = amb.index(quad)
         self.wslot = amb.index(self.lin) if self.lin else None
         self.free = [i for i in range(amb.nvars)
                      if i != self.vslot and i != self.wslot]
+        self._jacobian = None
+        self._drawn = {}
 
     def draw(self, rng, tries=600):
         F = self.field
@@ -484,29 +492,43 @@ class _Sampler:
             pt = [F.zero()] * self.amb.nvars
             for i in self.free:
                 pt[i] = F.random(rng)
-            a = evaluate(self.qa, pt)
+            a, b, c = self.quadratic(pt)
             if F.is_zero(a):
                 continue
-            b = evaluate(self.qb, pt)
-            c = evaluate(self.qc, pt)
             disc = F.sub(F.mul(b, b), F.mul(four, F.mul(a, c)))
             root = F.sqrt(disc)
             if root is None:
                 continue
             pt[self.vslot] = F.mul(F.sub(root, b), F.inv(F.mul(two, a)))
             if self.wslot is not None:
-                lc = evaluate(self.lin_coeff, pt)
+                lc, rest = self.linear(pt)
                 if F.is_zero(lc):
                     continue
-                pt[self.wslot] = F.neg(
-                    F.mul(evaluate(self.lin_rest, pt), F.inv(lc)))
+                pt[self.wslot] = F.neg(F.mul(rest, F.inv(lc)))
             pt = tuple(pt)
-            for f in self.eqs:
-                _require(F.is_zero(evaluate(f, pt)),
-                         "sampled point fails the exact membership check")
+            _require(all(F.is_zero(v) for v in self.eqs_at(pt)),
+                     "sampled point fails the exact membership check")
             return pt
         raise CertificateError(
             "failed to sample a point on the variety within the budget")
+
+    def points(self, n, seed=0):
+        """Yield the first n points drawn with random.Random(seed).
+
+        Points already drawn for the seed are yielded again; the rest
+        are drawn, from the same generator, as they are needed.
+        """
+        rng, drawn = self._drawn.setdefault(seed, (random.Random(seed), []))
+        for i in range(n):
+            if i == len(drawn):
+                drawn.append(self.draw(rng))
+            yield drawn[i]
+
+    def quasismooth(self, pt):
+        """Exact Jacobian rank equals the codimension at pt."""
+        if self._jacobian is None:
+            self._jacobian = jacobian_evaluator(self.eqs)
+        return rank_at(self._jacobian, pt) == len(self.eqs)
 
 
 def sample_point(equations, wps, field=None, seed=0, rng=None, tries=600):
@@ -542,13 +564,19 @@ class CensusX:
 CENSUS_SAMPLES = 20
 
 
-def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, field=None):
+def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, field=None,
+                         sampler=None):
     """Classify all coordinate points of the member and its strata.
 
     Expects exactly one singular coordinate point, of terminal type
     1/11(1,2,9); certifies that the one-dimensional ambient quotient
     stratum (the (y, t)-locus) misses the member; and spot-checks
-    quasismoothness at sampled points over a prime field.
+    quasismoothness at the first samples points that sampler draws for
+    seed, by default over F_(2^31-1): at each of them the Jacobian of
+    (F1, F2) has exact rank 2, so the member is quasismooth there.
+    link_stages passes the sampler of the involution check, so these
+    are the first min(samples, CENSUS_SAMPLES) involution points;
+    without one, the census draws its own over field.
     """
     wps = nf.spec.wps
     eqs = (nf.F1, nf.F2)
@@ -593,12 +621,9 @@ def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, field=None):
     _require(stratum["empty"],
              "the (y, t)-stratum meets the member", CertificateError)
 
-    field = field or GF(DEFAULT_PRIME)
-    sampler = _Sampler(eqs, wps, field)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        pt = sampler.draw(rng)
-        _require(quasismooth_at_sample(sampler.eqs, pt),
+    sampler = sampler or _Sampler(eqs, wps, field or GF(DEFAULT_PRIME))
+    for pt in sampler.points(samples, seed):
+        _require(sampler.quasismooth(pt),
                  "a sampled point of the member is not quasismooth",
                  CertificateError)
 
@@ -1420,28 +1445,30 @@ class InvolutionCheck:
 
 
 def verify_involution(equations, wps, images, samples=100, seed=0,
-                      field=None):
+                      field=None, sampler=None):
     """Check an involution tuple on sampled points of the variety.
 
-    Each sampled point must map to a point of the variety, and applying
-    the tuple twice must return the starting point up to the weighted
-    coordinate scaling.  Returns a report instead of raising, so wrong
-    tuples (negative controls) simply fail.
+    At each of the first samples points that sampler draws for seed,
+    the tuple must map the point to a point of the variety, and applying
+    it twice must return the starting point up to the weighted
+    coordinate scaling: at those points the tuple is defined, lands on
+    the variety and is its own inverse.  sampler must sample equations
+    in wps; without one, the check draws its own over field, by default
+    F_(2^31-1).  link_stages passes the sampler of the census of X, so
+    the first min(samples, CENSUS_SAMPLES) points are the ones the
+    census checked for quasismoothness.  Returns a report instead of
+    raising, so wrong tuples (negative controls) simply fail.
     """
-    field = field or GF(DEFAULT_PRIME)
-    amb = wps.ambient(field)
-    eqs = tuple(f.rename(amb) for f in equations)
-    entries = tuple(f.rename(amb) for f in images)
-    sampler = _Sampler(equations, wps, field)
-    rng = random.Random(seed)
+    sampler = sampler or _Sampler(equations, wps, field or GF(DEFAULT_PRIME))
+    field = sampler.field
+    entries = Evaluator(f.rename(sampler.amb) for f in images)
     passed = 0
     failures = []
-    for i in range(samples):
-        pt = sampler.draw(rng)
-        image = tuple(evaluate(e, pt) for e in entries)
-        good = all(field.is_zero(evaluate(f, image)) for f in eqs)
+    for pt in sampler.points(samples, seed):
+        image = entries(pt)
+        good = all(field.is_zero(v) for v in sampler.eqs_at(image))
         if good:
-            twice = tuple(evaluate(e, image) for e in entries)
+            twice = entries(image)
             if field.is_zero(pt[0]) or field.is_zero(twice[0]):
                 good = False
             else:
@@ -1493,9 +1520,11 @@ def link_stages(F1, F2, samples=40, seed=0, trials=20, field=None):
     LinkClassification.  A consumer that stops early skips the later
     stages; a stage that fails raises, so the stages seen before it are
     the ones that passed.  seed drives the sampled checks over field,
-    by default F_(2^31-1): the involution check draws samples points and
-    the census of X draws min(samples, CENSUS_SAMPLES); trials drives
-    the witness searches.
+    by default F_(2^31-1), and trials drives the witness searches.  One
+    sampler draws samples points on X, each once: the census of X checks
+    that X is quasismooth at the first min(samples, CENSUS_SAMPLES) of
+    them, and the involution check that the birational involution maps
+    every one of them to X and is its own inverse there.
 
     Exactly one elementary link leaves X (from the 1/11 point, to the
     degree-7 model); on the model, the qhat germ carries one link back
@@ -1506,8 +1535,9 @@ def link_stages(F1, F2, samples=40, seed=0, trials=20, field=None):
     """
     nf = normal_form_X1214(F1, F2)
     yield "normal-form", nf
+    sampler = _Sampler((nf.F1, nf.F2), X_WPS, field or GF(DEFAULT_PRIME))
     census = singularity_census_X(nf, samples=min(samples, CENSUS_SAMPLES),
-                                  seed=seed, field=field)
+                                  seed=seed, sampler=sampler)
     yield "census", census
     sigma = construct_link_sigma(nf)
     yield "sigma", sigma
@@ -1523,7 +1553,7 @@ def link_stages(F1, F2, samples=40, seed=0, trials=20, field=None):
     involutions = build_involutions(nf, sigma)
     yield "involutions", involutions
     inv_check = verify_involution((nf.F1, nf.F2), X_WPS, involutions.iota,
-                                  samples=samples, seed=seed, field=field)
+                                  samples=samples, seed=seed, sampler=sampler)
     _require(inv_check.ok,
              "the birational involution fails on sampled points")
     yield "involution-check", inv_check

@@ -25,6 +25,7 @@ from math import comb, isqrt
 
 __all__ = [
     "Ambient",
+    "Evaluator",
     "ExactDivisionError",
     "GF",
     "IrreducibilityVerdict",
@@ -38,8 +39,10 @@ __all__ = [
     "evaluate",
     "irreducibility_verdict",
     "jacobian",
+    "jacobian_evaluator",
     "parse",
     "polynomial_sqrt",
+    "rank_at",
     "resultant",
     "substitute",
     "toric_transform",
@@ -1279,20 +1282,84 @@ def polynomial_sqrt(f):
 # evaluation and jacobian
 
 
+class Evaluator:
+    """Evaluate a tuple of polynomials of one ambient at points.
+
+    The polynomials are lowered once: each term is kept as
+    (coefficient, ((index, exponent), ...)) with its nonzero exponents
+    only, and the top exponent of each variable is recorded.  A call
+    tabulates the powers of every coordinate once, up to its top
+    exponent, and shares the table across the polynomials.  Over F_p the
+    loop runs on plain ints with one reduction per polynomial; other
+    fields go through the field operations.
+    """
+
+    __slots__ = ("field", "lowered", "top")
+
+    def __init__(self, fs):
+        fs = tuple(fs)
+        if not fs:
+            raise ValueError("nothing to evaluate")
+        ambient = fs[0].ambient
+        if any(f.ambient != ambient for f in fs):
+            raise ValueError("polynomials from different ambients")
+        top = [0] * ambient.nvars
+        lowered = []
+        for f in fs:
+            terms = []
+            for m, c in f.terms.items():
+                mono = tuple((i, e) for i, e in enumerate(m) if e)
+                for i, e in mono:
+                    if e > top[i]:
+                        top[i] = e
+                terms.append((c, mono))
+            lowered.append(tuple(terms))
+        self.field = ambient.field
+        self.lowered, self.top = tuple(lowered), tuple(top)
+
+    def __call__(self, point):
+        """The values of the polynomials at point, in their order."""
+        field = self.field
+        vals = [field.coerce(x) for x in point]
+        if len(vals) != len(self.top):
+            raise ValueError("point length does not match ambient")
+        if isinstance(field, PrimeField):
+            p = field.p
+            powers = []
+            for x, t in zip(vals, self.top):
+                row = [1]
+                for _ in range(t):
+                    row.append(row[-1] * x % p)
+                powers.append(row)
+            out = []
+            for terms in self.lowered:
+                total = 0
+                for c, mono in terms:
+                    for i, e in mono:
+                        c *= powers[i][e]
+                    total += c
+                out.append(total % p)
+            return out
+        powers = []
+        for x, t in zip(vals, self.top):
+            row = [field.one()]
+            for _ in range(t):
+                row.append(field.mul(row[-1], x))
+            powers.append(row)
+        out = []
+        for terms in self.lowered:
+            total = field.zero()
+            for c, mono in terms:
+                for i, e in mono:
+                    c = field.mul(c, powers[i][e])
+                total = field.add(total, c)
+            out.append(total)
+        return out
+
+
 def evaluate(f, point):
     """Evaluate f at a point given as a sequence of field elements."""
-    field = f.ambient.field
-    vals = [field.coerce(x) for x in point]
-    if len(vals) != f.ambient.nvars:
-        raise ValueError("point length does not match ambient")
-    total = field.zero()
-    for m, c in f.terms.items():
-        prod = c
-        for x, e in zip(vals, m):
-            if e:
-                prod = field.mul(prod, field.pow(x, e))
-        total = field.add(total, prod)
-    return total
+    return Evaluator((f,))(point)[0]
 
 
 def jacobian(fs):
@@ -1303,14 +1370,22 @@ def jacobian(fs):
     return [[f.derivative(n) for n in ambient.names] for f in fs]
 
 
+def jacobian_evaluator(fs):
+    """The jacobian of fs lowered row after row into one Evaluator."""
+    return Evaluator([e for row in jacobian(fs) for e in row])
+
+
+def rank_at(jac, point):
+    """Exact rank at a point of a jacobian lowered by jacobian_evaluator."""
+    vals = jac(point)
+    n = len(jac.top)
+    rows = [vals[k:k + n] for k in range(0, len(vals), n)]
+    return _scalar_rank(rows, jac.field)
+
+
 def matrix_rank_at(fs, point):
     """Exact rank of the jacobian of fs at a point."""
-    ambient = fs[0].ambient
-    field = ambient.field
-    rows = [
-        [evaluate(e, point) for e in row] for row in jacobian(fs)
-    ]
-    return _scalar_rank(rows, field)
+    return rank_at(jacobian_evaluator(fs), point)
 
 
 def _scalar_rank(rows, field):

@@ -11,6 +11,7 @@ import pytest
 
 import wcilinks
 import wcilinks.links
+import wcilinks.qpoly
 from wcilinks.cli import CliError, build_report, emit, load_input, main
 
 MAIN_F1 = ("w*x + y^6 + y^4*t + y^2*t^2 + t^3 + y*z*v + z^4"
@@ -215,6 +216,21 @@ class TestQsmooth:
         sampled = step(report, "sampled")
         assert sampled["field"] == "F_2147483647"
         assert sampled["all_quasismooth"] is True
+
+    def test_one_jacobian_for_all_batches(self, member_path, capsys,
+                                          monkeypatch):
+        # 60 points are three batches of 25, 25 and 10, on one sampler
+        calls = []
+        inner = wcilinks.qpoly.jacobian
+
+        def counted(fs):
+            calls.append(len(fs))
+            return inner(fs)
+
+        monkeypatch.setattr(wcilinks.qpoly, "jacobian", counted)
+        report = run_json(["qsmooth", member_path, "--samples", "60"], capsys)
+        assert step(report, "sampled")["quasismooth_samples"] == 60
+        assert calls == [2]
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(HAT_DOC)))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from wcilinks import links, qpoly
 from wcilinks.ambient import ConeZ2, DivisorClass
 from wcilinks.links import (
     CENSUS_SAMPLES,
@@ -170,6 +171,19 @@ class TestCensusX:
         assert quot.is_terminal()
         assert census.stratum["empty"]
         assert census.sampled_quasismooth
+
+    def test_census_derives_the_jacobian_once(self, nf, monkeypatch):
+        calls = []
+        jacobian = qpoly.jacobian
+
+        def counted(fs):
+            calls.append(len(fs))
+            return jacobian(fs)
+
+        monkeypatch.setattr(qpoly, "jacobian", counted)
+        census = singularity_census_X(nf, samples=20)
+        assert census.sampled_quasismooth
+        assert calls == [2]
 
     def test_census_random(self):
         F1, F2 = random_member(3)
@@ -468,6 +482,55 @@ class TestClassification:
         assert art["census"].samples == CENSUS_SAMPLES == 20
         assert art["involution-check"].samples == 30
         assert art["involution-check"].passed == 30
+
+    def test_each_point_is_drawn_once(self, main_member, nf, monkeypatch):
+        # the census reads the first CENSUS_SAMPLES involution points
+        expected = list(links._Sampler((nf.F1, nf.F2), X_WPS, GF())
+                        .points(30, seed=0))
+        drawn, read = [], []
+        draw, points = links._Sampler.draw, links._Sampler.points
+
+        def counted_draw(self, rng, tries=600):
+            drawn.append(draw(self, rng, tries))
+            return drawn[-1]
+
+        def recorded_points(self, n, seed=0):
+            read.append([])
+            for pt in points(self, n, seed):
+                read[-1].append(pt)
+                yield pt
+
+        monkeypatch.setattr(links._Sampler, "draw", counted_draw)
+        monkeypatch.setattr(links._Sampler, "points", recorded_points)
+        art = dict(link_stages(*main_member, samples=30))
+        assert art["involution-check"].passed == 30
+        assert drawn == expected
+        census, involution = read
+        assert census == expected[:CENSUS_SAMPLES]
+        assert involution == expected
+
+    def test_failed_draw_fails_in_the_stage_that_needs_it(
+            self, main_member, monkeypatch):
+        # draw 25 is past the census's 20, so the involution check fails
+        class Budget(Exception):
+            pass
+
+        draws = []
+        draw = links._Sampler.draw
+
+        def failing_draw(self, rng, tries=600):
+            draws.append(None)
+            if len(draws) == 25:
+                raise Budget
+            return draw(self, rng, tries)
+
+        monkeypatch.setattr(links._Sampler, "draw", failing_draw)
+        seen = []
+        with pytest.raises(Budget):
+            for name, _ in link_stages(*main_member, samples=30):
+                seen.append(name)
+        assert "census" in seen
+        assert seen[-1] == "involutions"
 
     def test_random_seeds(self):
         # the sampled checks run over the given field, by default F_(2^31-1)

@@ -9,6 +9,7 @@ import sympy
 from wcilinks.qpoly import (
     Ambient,
     DEFAULT_PRIME,
+    Evaluator,
     ExactDivisionError,
     GF,
     QQ,
@@ -683,3 +684,91 @@ def test_jacobian_rank(A):
     assert J[1][2].is_zero()
     assert matrix_rank_at(fs, [1, 0, 0]) == 2
     assert matrix_rank_at(fs, [0, 0, 0]) == 0
+
+
+def test_jacobian_rank_over_a_prime_field():
+    B = Ambient(("x", "y", "z"), GF(101))
+    fs = [B.parse("x^2 + y^2 + z^2"), B.parse("x*y - 3*z")]
+    # the rows are (2x, 2y, 2z) and (y, x, -3)
+    assert matrix_rank_at(fs, [1, 0, 0]) == 2
+    assert matrix_rank_at(fs, [102, 0, 0]) == 2
+    # (2, 2, -6) = 2 * (1, 1, -3): the rank drops with no row zero
+    assert matrix_rank_at(fs, [1, 1, -3]) == 1
+    assert matrix_rank_at(fs, [1, 1, 98]) == 1
+    assert matrix_rank_at(fs, [0, 0, 0]) == 1
+
+
+def _reference_evaluate(f, point):
+    """Evaluation as first written: one field pow and mul per variable
+    of every term."""
+    field = f.ambient.field
+    vals = [field.coerce(x) for x in point]
+    if len(vals) != f.ambient.nvars:
+        raise ValueError("point length does not match ambient")
+    total = field.zero()
+    for m, c in f.terms.items():
+        prod = c
+        for x, e in zip(vals, m):
+            if e:
+                prod = field.mul(prod, field.pow(x, e))
+        total = field.add(total, prod)
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(2**31 - 1)],
+                         ids=["QQ", "GF101", "GF2^31-1"])
+def test_evaluator_matches_reference(field):
+    amb = Ambient(("x", "y", "z", "t"), field)
+    rng = random.Random(f"evaluate/{field!r}")
+
+    def coefficient():
+        return rng.choice([1, -1, 2, Fraction(3, 7),
+                           rng.randint(-10**6, 10**6)])
+
+    def exponent():
+        return rng.choice([0, 0, 1, 2, rng.randint(11, 25)])
+
+    def poly():
+        kind = rng.random()
+        if kind < 0.1:
+            return amb.zero()
+        if kind < 0.2:
+            return amb.const(coefficient())
+        f = amb.zero()
+        for _ in range(rng.randint(1, 12)):
+            f = f + amb.monomial([exponent() for _ in amb.names],
+                                 coefficient())
+        return f
+
+    def coordinate():
+        if rng.random() < 0.3:
+            return 0
+        if field == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        return rng.randrange(field.p)
+
+    seen = {"zero": 0, "constant": 0, "high": 0, "zero-coordinate": 0}
+    for _ in range(300):
+        fs = [poly() for _ in range(rng.randint(1, 5))]
+        point = [coordinate() for _ in amb.names]
+        got = Evaluator(fs)(point)
+        assert got == [_reference_evaluate(f, point) for f in fs]
+        assert [evaluate(f, point) for f in fs] == got
+        assert all(type(v) is type(field.zero()) for v in got)
+        seen["zero"] += any(f.is_zero() for f in fs)
+        seen["constant"] += any(f.is_constant() and not f.is_zero()
+                                for f in fs)
+        seen["high"] += any(max(m) > 10 for f in fs for m in f.terms)
+        seen["zero-coordinate"] += 0 in point
+    assert min(seen.values()) >= 20, seen
+
+
+def test_evaluator_errors(A):
+    f = A.parse("x*y + z")
+    with pytest.raises(ValueError, match="point length"):
+        Evaluator((f,))([1, 2])
+    with pytest.raises(ValueError, match="point length"):
+        evaluate(f, [1, 2, 3, 4])
+    B = Ambient(("x", "y", "z"), GF(101))
+    with pytest.raises(ValueError, match="different ambients"):
+        Evaluator((f, f.rename(B)))
