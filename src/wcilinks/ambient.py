@@ -18,11 +18,11 @@ anticanonical class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, prod
 
+from ._records import record
 from .qpoly import (
     Ambient,
     QQ,
@@ -91,7 +91,7 @@ def _angle_cmp(u, v):
 # divisor classes and cones
 
 
-@dataclass(frozen=True)
+@record
 class DivisorClass:
     """An element of the rank-two divisor class lattice."""
 
@@ -135,7 +135,7 @@ def _coords(d):
     return tuple(d)
 
 
-@dataclass(frozen=True)
+@record
 class ConeZ2:
     """A strictly convex two-dimensional cone between two lattice rays."""
 
@@ -178,7 +178,7 @@ class ConeZ2:
 # weighted projective spaces
 
 
-@dataclass(frozen=True)
+@record
 class WPS:
     """A weighted projective space with named coordinates."""
 
@@ -232,7 +232,7 @@ class WPS:
         return "P(" + ",".join(str(w) for w in self.weights) + ")"
 
 
-@dataclass(frozen=True)
+@record
 class WCISpec:
     """A complete intersection of given degrees in a WPS."""
 
@@ -265,7 +265,7 @@ class WCISpec:
         return f"X_{degs} in {self.wps}"
 
 
-@dataclass(frozen=True)
+@record
 class AmbientReport:
     """Numerical summary of a weighted complete intersection ambient."""
 
@@ -294,7 +294,7 @@ def analyze_ambient(wps, degrees=None):
 # rank-two toric ambients
 
 
-@dataclass(frozen=True)
+@record
 class Rank2Toric:
     """A Picard-rank-two toric variety given by a 2 x n weight matrix.
 
@@ -420,7 +420,7 @@ def transport_equation(f, wps, center, weights, toric, uname="u"):
 # the two-ray game
 
 
-@dataclass(frozen=True)
+@record
 class WallCrossing:
     """A small modification between adjacent chambers."""
 
@@ -430,7 +430,7 @@ class WallCrossing:
     minus_vars: tuple   # extracted locus V(minus_vars) on the later model
 
 
-@dataclass(frozen=True)
+@record
 class GameEnd:
     """How the chamber walk terminates on one side."""
 
@@ -443,7 +443,7 @@ class GameEnd:
     image_dim: int | None
 
 
-@dataclass(frozen=True)
+@record
 class LinkTrace:
     """The full record of a two-ray game."""
 
@@ -652,7 +652,7 @@ def run_two_ray_game(toric):
 # emptiness certificates for wall loci
 
 
-@dataclass(frozen=True)
+@record
 class EmptinessCertificate:
     """A proof tree that a locus has no stable points, or a failure note."""
 
@@ -841,7 +841,7 @@ def certify_stratum_empty(equations, dead, left, right, depth=16):
 # cone calculus on a trace
 
 
-@dataclass(frozen=True)
+@record
 class WallReport:
     """Certification outcome for one wall of the trace."""
 
@@ -854,7 +854,7 @@ class WallReport:
         return self.plus_certificate.empty and self.minus_certificate.empty
 
 
-@dataclass(frozen=True)
+@record
 class ConeReport:
     """Nef and mobile cones of the variety cut out inside the trace."""
 

@@ -16,7 +16,6 @@ certificate, 3 internal inconsistency.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import random
 import sys
@@ -338,6 +337,9 @@ def _batches(total, seed):
 
 def _run_batches(worker, payloads, jobs):
     if jobs and jobs > 1:
+        # imported here: only qsmooth --parallel pays for it
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(worker, payloads))
     return [worker(p) for p in payloads]

@@ -36,9 +36,9 @@ large prime field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._records import record
 from .ambient import (
     ConeZ2,
     DivisorClass,
@@ -205,7 +205,7 @@ def _compose(amb, first, then):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ChangeOfCoordinates:
     """A composed chain of coordinate substitutions with its inverse.
 
@@ -230,7 +230,7 @@ class ChangeOfCoordinates:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class NondegeneracyCertificate:
     """Open conditions making the normal form and its links generic."""
 
@@ -243,7 +243,7 @@ class NondegeneracyCertificate:
         return self.mu != 0 and self.c12_nonzero and self.resultant != 0
 
 
-@dataclass(frozen=True)
+@record
 class NormalFormX1214:
     """The member in normal coordinates, with the pieces split off."""
 
@@ -542,7 +542,7 @@ def sample_point(equations, wps, field=None, seed=0, rng=None, tries=600):
 # census of X
 
 
-@dataclass(frozen=True)
+@record
 class CensusX:
     """Singular locus of the member, with sampled smoothness evidence."""
 
@@ -636,7 +636,7 @@ def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, field=None,
 # the link sigma to the degree-7 model
 
 
-@dataclass(frozen=True)
+@record
 class NormalFormHatX:
     """The degree-7 model in P(1,1,1,2,3), split into named pieces."""
 
@@ -651,7 +651,7 @@ class NormalFormHatX:
     mu: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Outcome for one candidate center."""
 
@@ -662,7 +662,7 @@ class Verdict:
     reference: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class LinkReport:
     """Everything recorded about one candidate center."""
 
@@ -676,7 +676,7 @@ class LinkReport:
     notes: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class SigmaLink:
     """The elementary link from the 1/11 point, fully certified."""
 
@@ -832,7 +832,7 @@ def construct_link_sigma(nf):
 # census of the degree-7 model
 
 
-@dataclass(frozen=True)
+@record
 class CensusHatX:
     """Singular locus of the degree-7 model, with the germ table."""
 
@@ -921,7 +921,7 @@ def singularity_census_hatX(hat):
 # the exclusion condition at qhat
 
 
-@dataclass(frozen=True)
+@record
 class ConditionReport:
     """Weighted-filtration shape of the model at qhat.
 
@@ -1185,7 +1185,7 @@ def run_exclusion_blowups(hat, condition=None, trials=20):
 # curves of low degree through qhat
 
 
-@dataclass(frozen=True)
+@record
 class CurveExclusion:
     """Exact parameter-count certificates for degree-one curves."""
 
@@ -1313,7 +1313,7 @@ def exclude_degree_one_curves(hat):
 # involutions
 
 
-@dataclass(frozen=True)
+@record
 class InvolutionData:
     """The biregular involution of the model and its lift to X."""
 
@@ -1434,7 +1434,7 @@ def build_involutions(nf, sigma_link):
     )
 
 
-@dataclass(frozen=True)
+@record
 class InvolutionCheck:
     """Sampled verification of a candidate automorphism tuple."""
 
@@ -1488,7 +1488,7 @@ def verify_involution(equations, wps, images, samples=100, seed=0,
 # the classification
 
 
-@dataclass(frozen=True)
+@record
 class LinkClassification:
     """All candidate centers of the member, each settled."""
 

@@ -13,15 +13,24 @@ transform that inserts a scaling variable u (toric_transform), Sylvester
 resultants with polynomial entries via fraction-free Bareiss elimination,
 exact polynomial square roots, and a rule-based irreducibility verdict with
 verified certificates.
+
+Polynomials are immutable: nothing writes to a polynomial's terms after
+construction, and every arithmetic result (sum, difference, negation,
+product, power, substitution) holds no zero coefficient.  The kernel
+relies on both.  It builds its results without re-scanning them for
+zeros, and an Ambient hands out one shared zero, one and variable per
+name instead of building a new polynomial on each call.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import comb, isqrt
+from operator import add, mul
+
+from ._records import record
 
 __all__ = [
     "Ambient",
@@ -50,6 +59,10 @@ __all__ = [
 
 DEFAULT_PRIME = 2**31 - 1
 
+# Fraction is immutable, so Q shares its zero and one
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
 
 # ---------------------------------------------------------------------------
 # coefficient fields
@@ -71,10 +84,10 @@ class RationalField:
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     def one(self):
-        return Fraction(1)
+        return _Q_ONE
 
     def add(self, a, b):
         return a + b
@@ -94,7 +107,7 @@ class RationalField:
         return 1 / a
 
     def is_zero(self, a):
-        return a == 0
+        return not a
 
     def pow(self, a, n):
         return a**n
@@ -286,27 +299,42 @@ def GF(p=DEFAULT_PRIME):
 
 
 def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mul_terms(s, o, field):
     """Product of the term dicts s and o, cancelled terms dropped.
 
     The outer loop runs over the shorter dict (over s on a tie), so the
-    terms come out in the same order for the same operands.
+    terms come out in the same order for the same operands.  A product
+    of nonzero field elements is nonzero, so only a sum can cancel; over
+    Q the loop uses the Fraction operators directly.
     """
     if len(s) > len(o):
         a, b = s, o
     else:
         a, b = o, s
     terms = {}
+    if field.characteristic:
+        fmul, fadd, is_zero = field.mul, field.add, field.is_zero
+        for mb, cb in b.items():
+            for ma, ca in a.items():
+                m = tuple(map(add, ma, mb))
+                c = fmul(ca, cb)
+                if m in terms:
+                    c = fadd(terms[m], c)
+                    if is_zero(c):
+                        del terms[m]
+                        continue
+                terms[m] = c
+        return terms
     for mb, cb in b.items():
         for ma, ca in a.items():
-            m = _mono_mul(ma, mb)
-            c = field.mul(ca, cb)
+            m = tuple(map(add, ma, mb))
+            c = ca * cb
             if m in terms:
-                c = field.add(terms[m], c)
-                if field.is_zero(c):
+                c = terms[m] + c
+                if not c:
                     del terms[m]
                     continue
             terms[m] = c
@@ -353,9 +381,12 @@ class _Grevlex:
 
 
 class Ambient:
-    """An ordered tuple of variable names over a coefficient field."""
+    """An ordered tuple of variable names over a coefficient field.
 
-    __slots__ = ("names", "field", "_index")
+    zero(), one() and var(name) return one shared polynomial each.
+    """
+
+    __slots__ = ("names", "field", "_index", "_zero", "_one", "_vars")
 
     def __init__(self, names, field=QQ):
         names = tuple(names)
@@ -367,6 +398,9 @@ class Ambient:
         self.names = names
         self.field = field
         self._index = {n: i for i, n in enumerate(names)}
+        self._zero = _poly(self, {})
+        self._one = _poly(self, {(0,) * len(names): field.one()})
+        self._vars = {}
 
     @property
     def nvars(self):
@@ -379,21 +413,24 @@ class Ambient:
             raise KeyError(f"no variable {name!r} in ambient {self.names}") from None
 
     def zero(self):
-        return QPolynomial(self, {})
+        return self._zero
 
     def one(self):
-        return self.const(1)
+        return self._one
 
     def const(self, c):
         c = self.field.coerce(c)
         if self.field.is_zero(c):
-            return self.zero()
-        return QPolynomial(self, {(0,) * self.nvars: c})
+            return self._zero
+        return _poly(self, {(0,) * self.nvars: c})
 
     def var(self, name):
-        e = [0] * self.nvars
-        e[self.index(name)] = 1
-        return QPolynomial(self, {tuple(e): self.field.one()})
+        v = self._vars.get(name)
+        if v is None:
+            e = [0] * self.nvars
+            e[self.index(name)] = 1
+            v = self._vars[name] = _poly(self, {tuple(e): self.field.one()})
+        return v
 
     def monomial(self, exps, coeff=1):
         exps = tuple(int(e) for e in exps)
@@ -435,12 +472,8 @@ class QPolynomial:
 
     def __init__(self, ambient, terms):
         self.ambient = ambient
-        field = ambient.field
-        clean = {}
-        for mono, c in terms.items():
-            if not field.is_zero(c):
-                clean[mono] = c
-        self.terms = clean
+        is_zero = ambient.field.is_zero
+        self.terms = {m: c for m, c in terms.items() if not is_zero(c)}
 
     # -- basic predicates ---------------------------------------------------
 
@@ -474,7 +507,7 @@ class QPolynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):
-        if self.ambient != other.ambient:
+        if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
 
     def __add__(self, other):
@@ -491,7 +524,7 @@ class QPolynomial:
                     terms[m] = s
             else:
                 terms[m] = c
-        return QPolynomial(self.ambient, terms)
+        return _poly(self.ambient, terms)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -504,15 +537,13 @@ class QPolynomial:
         return self._coerce_operand(other).__sub__(self)
 
     def __neg__(self):
-        field = self.ambient.field
-        return QPolynomial(
-            self.ambient, {m: field.neg(c) for m, c in self.terms.items()}
-        )
+        neg = self.ambient.field.neg
+        return _poly(self.ambient, {m: neg(c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce_operand(other)
         self._check(other)
-        return QPolynomial(
+        return _poly(
             self.ambient, _mul_terms(self.terms, other.terms, self.ambient.field)
         )
 
@@ -522,6 +553,11 @@ class QPolynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1 and n:
+            (m, c), = self.terms.items()
+            return _poly(
+                self.ambient, {tuple(e * n for e in m): self.ambient.field.pow(c, n)}
+            )
         result = self.ambient.one()
         base = self
         while n:
@@ -603,9 +639,7 @@ class QPolynomial:
             k = m[i]
             rest = m[:i] + (0,) + m[i + 1 :]
             buckets.setdefault(k, {})[rest] = c
-        return {
-            k: QPolynomial(self.ambient, terms) for k, terms in buckets.items()
-        }
+        return {k: _poly(self.ambient, terms) for k, terms in buckets.items()}
 
     def coefficient_of_power(self, name, k):
         return self.as_univariate(name).get(k, self.ambient.zero())
@@ -676,21 +710,23 @@ class QPolynomial:
         """Minimum w-weight over the support (the w-order); None for zero."""
         if not self.terms:
             return None
-        return min(w.weight(m) for m in self.terms)
+        return Fraction(min(map(w.integer_weight, self.terms)), w.den)
 
     def w_component(self, w, d):
         """Sum of terms of w-weight exactly d."""
         d = Fraction(d)
-        terms = {m: c for m, c in self.terms.items() if w.weight(m) == d}
-        return QPolynomial(self.ambient, terms)
+        top, rest = divmod(d.numerator * w.den, d.denominator)
+        if rest:
+            return self.ambient.zero()
+        weight = w.integer_weight
+        terms = {m: c for m, c in self.terms.items() if weight(m) == top}
+        return _poly(self.ambient, terms)
 
     def quasi_homogeneous_degree(self, w):
         """The common w-weight of all terms, or None if mixed / zero."""
-        if not self.terms:
-            return None
-        seen = {w.weight(m) for m in self.terms}
+        seen = set(map(w.integer_weight, self.terms))
         if len(seen) == 1:
-            return seen.pop()
+            return Fraction(seen.pop(), w.den)
         return None
 
     # -- printing --------------------------------------------------------------
@@ -726,6 +762,21 @@ class QPolynomial:
             else:
                 chunks.append(("- " if neg else "+ ") + body)
         return " ".join(chunks)
+
+
+_new = object.__new__
+
+
+def _poly(ambient, terms):
+    """The polynomial on a term dict that holds no zero coefficient.
+
+    The trusted constructor of the arithmetic: it takes terms as given,
+    without the clean-up of QPolynomial(ambient, terms).
+    """
+    p = _new(QPolynomial)
+    p.ambient = ambient
+    p.terms = terms
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +920,7 @@ def parse(text, ambient):
 # weight vectors
 
 
-@dataclass(frozen=True)
+@record
 class WeightVector:
     """Integer weights with a common denominator: w = nums / den."""
 
@@ -894,7 +945,7 @@ class WeightVector:
 
     def integer_weight(self, mono):
         """Numerator scale weight: sum(nums[i] * e[i])."""
-        return sum(n * e for n, e in zip(self.nums, mono))
+        return sum(map(mul, self.nums, mono))
 
     def __str__(self):
         body = ",".join(str(n) for n in self.nums)
@@ -964,7 +1015,7 @@ class Substitution:
             elif len(img.terms) == 1:
                 (mono, c), = img.terms.items()
                 shift = tuple((j, k) for j, k in enumerate(mono) if k)
-                if c == target.field.one():
+                if c == 1:
                     c = None
                 self._monomial.append((i, shift, c))
             else:
@@ -1018,7 +1069,7 @@ class Substitution:
                         del terms[key]
                         continue
                 terms[key] = c
-        return QPolynomial(self.target, terms)
+        return _poly(self.target, terms)
 
     def _expand(self, pattern, powers, field):
         """Term dict of the product of the multi-term images' powers."""
@@ -1420,7 +1471,7 @@ def _scalar_rank(rows, field):
 # irreducibility
 
 
-@dataclass
+@record
 class IrreducibilityVerdict:
     """Three-valued verdict with a checkable certificate.
 

@@ -17,10 +17,10 @@ against the blowup engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
+from ._records import factory, record
 from .qpoly import (
     Ambient,
     QPolynomial,
@@ -60,7 +60,7 @@ __all__ = [
 # cyclic quotient singularities
 
 
-@dataclass(frozen=True)
+@record
 class QuotientSingularity:
     """A cyclic quotient 1/r(a_1, ..., a_n) with ordered residues."""
 
@@ -113,7 +113,7 @@ class QuotientSingularity:
         return self.type_label()
 
 
-@dataclass(frozen=True)
+@record
 class SingularityReport:
     """What happens to a complete intersection at a coordinate point."""
 
@@ -259,7 +259,7 @@ def quasismooth_on_stratum(equations, stratum_vars):
 # germs and weighted blowup discrepancies
 
 
-@dataclass(frozen=True)
+@record
 class Germ:
     """A complete intersection germ at the origin of A^n / (Z/r).
 
@@ -291,7 +291,7 @@ class Germ:
         return self.ambient.nvars - len(self.equations)
 
 
-@dataclass(frozen=True)
+@record
 class DiscrepancyRecord:
     """One weighted blowup of a germ and its discrepancy."""
 
@@ -343,7 +343,7 @@ def weighted_blowup_discrepancy(germ, b):
     )
 
 
-@dataclass(frozen=True)
+@record
 class ChartCheck:
     chart: str
     orders: tuple
@@ -382,7 +382,7 @@ def discrepancy_chart_oracle(germ, b):
 # germ analyzers
 
 
-@dataclass(frozen=True)
+@record
 class GermRow:
     """One exceptional divisor row in a germ's discrepancy table."""
 
@@ -393,7 +393,7 @@ class GermRow:
     discrepancy: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class GermAnalysis:
     """Result of a germ analysis: gates, table rows, certified models."""
 
@@ -404,7 +404,7 @@ class GermAnalysis:
     low_discrepancy_count: int
     chart: QuotientSingularity | None
     model_verdicts: dict
-    models: dict = dc_field(default_factory=dict)
+    models: dict = factory(dict)
     cited: tuple = ()
     notes: tuple = ()
 
@@ -734,7 +734,7 @@ def analyze_cE6_germ(f):
 # quadratic involution test
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticInvolutionResult:
     """Outcome of projecting away from a coordinate appearing quadratically."""
 

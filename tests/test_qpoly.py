@@ -308,16 +308,77 @@ def test_substitute_zero_image_drops_exactly_the_terms_with_it(A):
     assert g == A.parse("-2*(y + z)^3 + z + 5")
 
 
+# the kernel as first written, on bare term dicts: every result went
+# through the clean-up of the public constructor, and a power squared
+# its way up from one
+
+
+def _ref_is_zero(c, field):
+    return c % field.p == 0 if field.characteristic else c == 0
+
+
+def _ref_clean(terms, field):
+    return {m: c for m, c in terms.items() if not _ref_is_zero(c, field)}
+
+
+def _ref_add(s, o, field):
+    terms = dict(s)
+    for m, c in o.items():
+        if m in terms:
+            t = field.add(terms[m], c)
+            if _ref_is_zero(t, field):
+                del terms[m]
+            else:
+                terms[m] = t
+        else:
+            terms[m] = c
+    return _ref_clean(terms, field)
+
+
+def _ref_neg(s, field):
+    return _ref_clean({m: field.neg(c) for m, c in s.items()}, field)
+
+
+def _ref_mul(s, o, field):
+    a, b = (s, o) if len(s) > len(o) else (o, s)
+    terms = {}
+    for mb, cb in b.items():
+        for ma, ca in a.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            c = field.mul(ca, cb)
+            if m in terms:
+                c = field.add(terms[m], c)
+                if _ref_is_zero(c, field):
+                    del terms[m]
+                    continue
+            terms[m] = c
+    return _ref_clean(terms, field)
+
+
+def _ref_one(field, nvars):
+    return {(0,) * nvars: field.coerce(1)}
+
+
+def _ref_pow(s, n, field, nvars):
+    result, base = _ref_one(field, nvars), s
+    while n:
+        if n & 1:
+            result = _ref_mul(result, base, field)
+        base = _ref_mul(base, base, field) if n > 1 else base
+        n >>= 1
+    return result
+
+
 def _reference_substitute(sub, f):
     """The substitution as first written: per source term a constant,
     times the cached powers of the images, added to the result."""
     if f.ambient != sub.source:
         f = f.rename(sub.source)
-    target = sub.target
-    powers = [{0: target.one()} for _ in sub.images]
-    result = target.zero()
+    field, nvars = sub.target.field, sub.target.nvars
+    powers = [{0: _ref_one(field, nvars)} for _ in sub.images]
+    result = {}
     for m, c in f.terms.items():
-        piece = target.const(c)
+        piece = _ref_clean({(0,) * nvars: field.coerce(c)}, field)
         for i, e in enumerate(m):
             if e == 0:
                 continue
@@ -326,9 +387,10 @@ def _reference_substitute(sub, f):
             cache = powers[i]
             while e not in cache:
                 top = max(cache)
-                cache[top + 1] = cache[top] * sub.images[i]
-            piece = piece * cache[e]
-        result = result + piece
+                cache[top + 1] = _ref_mul(cache[top], sub.images[i].terms,
+                                          field)
+            piece = _ref_mul(piece, cache[e], field)
+        result = _ref_add(result, piece, field)
     return result
 
 
@@ -393,10 +455,71 @@ def test_substitute_matches_reference(field):
         got = sub(f)
         want = _reference_substitute(sub, f)
         assert got.ambient == target
-        assert list(got.terms.items()) == list(want.terms.items())
+        assert not any(field.is_zero(c) for c in got.terms.values())
+        assert list(got.terms.items()) == list(want.items())
         cancelled += not f.is_zero() and got.is_zero()
     assert repeated >= 30
     assert cancelled >= 10
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_kernel_matches_reference(field):
+    # the results carry no zero coefficient and equal the reference term
+    # for term, in the same order
+    amb = Ambient(("x", "y", "z"), field)
+    rng = random.Random(f"kernel/{field!r}")
+
+    def coefficient():
+        c = rng.choice([1, -1, 2, -3, Fraction(3, 7), rng.randint(-50, 50)])
+        return field.coerce(c)
+
+    def poly(ambient, size):
+        return QPolynomial(ambient, {
+            tuple(rng.randint(0, 2) for _ in ambient.names): coefficient()
+            for _ in range(size)})
+
+    def check(got, want):
+        assert not any(field.is_zero(c) for c in got.terms.values())
+        assert list(got.terms.items()) == list(want.items())
+        return got
+
+    seen = {"sum": 0, "product": 0}
+    for case in range(200):
+        f = poly(amb, rng.randint(0, 6))
+        g = poly(amb, rng.randint(0, 6))
+        if case % 3 == 0:
+            g = -f + poly(amb, rng.randint(0, 2))  # f + g cancels f
+        total = check(f + g, _ref_add(f.terms, g.terms, field))
+        seen["sum"] += len(total.terms) < len(set(f.terms) | set(g.terms))
+        check(f - g, _ref_add(f.terms, _ref_neg(g.terms, field), field))
+        check(-f, _ref_neg(f.terms, field))
+        if case % 4 == 0:
+            # (f + h)(f - h) = f^2 - h^2: the cross terms cancel
+            h = poly(amb, rng.randint(1, 3))
+            f, g = f + h, f - h
+        product = check(f * g, _ref_mul(f.terms, g.terms, field))
+        sums = {tuple(x + y for x, y in zip(a, b))
+                for a in f.terms for b in g.terms}
+        seen["product"] += len(product.terms) < len(sums)
+        n = rng.randint(0, 5)
+        single = poly(amb, 1)
+        check(single ** n, _ref_pow(single.terms, n, field, 3))
+        check(f ** n, _ref_pow(f.terms, n, field, 3))
+    assert min(seen.values()) >= 10, seen
+
+
+def test_ambient_shares_its_constants_and_variables():
+    amb = Ambient(("x", "y"), QQ)
+    assert amb.var("x") is amb.var("x")
+    assert amb.one() is amb.one()
+    assert amb.zero() is amb.zero()
+    assert amb.var("x") != amb.var("y")
+    twin = Ambient(("x", "y"), QQ)
+    assert twin is not amb
+    assert twin == amb and hash(twin) == hash(amb)
+    assert twin.var("x") is not amb.var("x")
+    assert amb.var("x") + twin.var("x") == amb.parse("2*x")
+    assert amb.one() * twin.var("y") == twin.var("y")
 
 
 def test_rename_by_name(A):
