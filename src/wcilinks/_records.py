@@ -8,26 +8,17 @@ equality and hashing on the tuple of fields within one class,
 dataclass's `repr` text, and `FrozenInstanceError` on assignment or
 deletion.  The methods are closures over the field names,
 so decorating a class compiles no source text; this keeps the import of
-the package cheap.  A default written as `factory(make)` is made fresh
-for each instance by calling `make()`, like `field(default_factory=...)`.
+the package cheap.  A default is shared by every instance that takes it,
+so a mutable value is passed explicitly, never given as a default.
 """
 
 from operator import attrgetter
 
-__all__ = ["FrozenInstanceError", "factory", "record"]
+__all__ = ["FrozenInstanceError", "record"]
 
 
 class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, a field of a record."""
-
-
-class factory:
-    """A field default made fresh for each instance by calling make()."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
 
 
 def record(cls):
@@ -39,9 +30,6 @@ def record(cls):
         raise TypeError(f"record {cls.__qualname__} needs two or more fields")
     fieldset = frozenset(names)
     defaults = {name: body[name] for name in names if name in body}
-    for name, default in defaults.items():
-        if isinstance(default, factory):
-            delattr(cls, name)
     n = len(names)
     qualname = f"{cls.__qualname__}.__init__()"
     # the tuple of the fields, as dataclass compares and hashes them
@@ -65,8 +53,7 @@ def record(cls):
             if name in given:
                 bound[name] = given[name]
             elif name in defaults:
-                default = defaults[name]
-                bound[name] = default.make() if isinstance(default, factory) else default
+                bound[name] = defaults[name]
             else:
                 raise TypeError(f"{qualname} missing required argument {name!r}")
         return bound

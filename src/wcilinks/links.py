@@ -107,7 +107,6 @@ __all__ = [
     "normal_form_X1214",
     "random_member",
     "run_exclusion_blowups",
-    "sample_point",
     "singularity_census_X",
     "singularity_census_hatX",
     "verify_involution",
@@ -200,8 +199,9 @@ def random_member(seed):
 def _compose(amb, first, then):
     """Mapping whose substitution equals applying first, then `then`."""
     out = dict(then)
+    sub = Substitution(amb, amb, then)
     for n, img in first.items():
-        out[n] = substitute(img, then, amb)
+        out[n] = sub(img)
     return out
 
 
@@ -222,10 +222,12 @@ class ChangeOfCoordinates:
     def verify(self, originals, finals):
         """Both directions of the round trip, exactly."""
         amb = self.ambient
+        forward = Substitution(amb, amb, self.forward)
+        inverse = Substitution(amb, amb, self.inverse)
         for old, new, m in zip(originals, finals, self.multipliers):
-            if substitute(old, self.forward, amb).scale(m) != new:
+            if forward(old).scale(m) != new:
                 return False
-            if substitute(new, self.inverse, amb).scale(QQ.inv(m)) != old:
+            if inverse(new).scale(QQ.inv(m)) != old:
                 return False
         return True
 
@@ -302,8 +304,8 @@ def normal_form_X1214(F1, F2):
 
     def apply(mapping, inv_mapping, label):
         nonlocal f1, f2, forward, inverse
-        f1 = substitute(f1, mapping, amb)
-        f2 = substitute(f2, mapping, amb)
+        sub = Substitution(amb, amb, mapping)
+        f1, f2 = sub(f1), sub(f2)
         forward = _compose(amb, forward, mapping)
         inverse = _compose(amb, inv_mapping, inverse)
         steps.append(label)
@@ -412,8 +414,8 @@ def normal_form_X1214(F1, F2):
              "member is too special: a12 has no t^3", CertificateError)
     _require(not c12.is_zero(),
              "member is too special: c12 vanishes", CertificateError)
-    a_aff = substitute(a12, {"y": amb.one()}, amb)
-    c_aff = substitute(c12, {"y": amb.one()}, amb)
+    affine = Substitution(amb, amb, {"y": amb.one()})
+    a_aff, c_aff = affine(a12), affine(c12)
     res = resultant(a_aff, c_aff, "t")
     _require(res.is_constant(), "resultant of univariate forms not constant")
     rval = res.constant_coefficient()
@@ -531,13 +533,6 @@ class _Sampler:
         return rank_at(self._jacobian, pt) == len(self.eqs)
 
 
-def sample_point(equations, wps, field=None, seed=0, rng=None, tries=600):
-    """One exact point on the variety; see _Sampler for the method."""
-    field = field or GF(DEFAULT_PRIME)
-    rng = rng or random.Random(seed)
-    return _Sampler(equations, wps, field).draw(rng, tries)
-
-
 # ---------------------------------------------------------------------------
 # census of X
 
@@ -564,19 +559,18 @@ class CensusX:
 CENSUS_SAMPLES = 20
 
 
-def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, field=None,
-                         sampler=None):
+def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, sampler=None):
     """Classify all coordinate points of the member and its strata.
 
     Expects exactly one singular coordinate point, of terminal type
     1/11(1,2,9); certifies that the one-dimensional ambient quotient
     stratum (the (y, t)-locus) misses the member; and spot-checks
     quasismoothness at the first samples points that sampler draws for
-    seed, by default over F_(2^31-1): at each of them the Jacobian of
-    (F1, F2) has exact rank 2, so the member is quasismooth there.
+    seed: at each of them the Jacobian of (F1, F2) has exact rank 2, so
+    the member is quasismooth there.
     link_stages passes the sampler of the involution check, so these
     are the first min(samples, CENSUS_SAMPLES) involution points;
-    without one, the census draws its own over field.
+    without one, the census draws its own over F_(2^31-1).
     """
     wps = nf.spec.wps
     eqs = (nf.F1, nf.F2)
@@ -606,8 +600,8 @@ def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, field=None,
     # common projective root, which the nondegeneracy resultant certifies
     amb = nf.F1.ambient
     zeromap = {"x": 0, "z": 0, "v": 0, "w": 0}
-    rest1 = substitute(nf.F1, zeromap, amb)
-    rest2 = substitute(nf.F2, zeromap, amb)
+    restrict = Substitution(amb, amb, zeromap)
+    rest1, rest2 = restrict(nf.F1), restrict(nf.F2)
     _require(rest1 == nf.a12, "F1 does not restrict to a12 on the stratum")
     _require(rest2 == amb.var("y") * nf.c12,
              "F2 does not restrict to y*c12 on the stratum")
@@ -621,7 +615,7 @@ def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, field=None,
     _require(stratum["empty"],
              "the (y, t)-stratum meets the member", CertificateError)
 
-    sampler = sampler or _Sampler(eqs, wps, field or GF(DEFAULT_PRIME))
+    sampler = sampler or _Sampler(eqs, wps, GF(DEFAULT_PRIME))
     for pt in sampler.points(samples, seed):
         _require(sampler.quasismooth(pt),
                  "a sampled point of the member is not quasismooth",
@@ -1273,8 +1267,8 @@ def exclude_degree_one_curves(hat):
     z4 = s3.coefficient_of_power("z", 4)
     ok4 = z4 == ext3.monomial((3, 0, 0, 3, 0), hat.mu)
     s4 = substitute(s3, {"b": 0}, ext3)
-    a_c = substitute(hat.a6, {"y": ext3.one(), "t": cv}, ext3)
-    c_c = substitute(hat.c6, {"y": ext3.one(), "t": cv}, ext3)
+    binary = Substitution(hat_amb, ext3, {"y": ext3.one(), "t": cv})
+    a_c, c_c = binary(hat.a6), binary(hat.c6)
     ok_res = s4 == ya**6 * (za * a_c + ya * c_c)
     surface = {
         "z7_bucket_is_mu_a3": ok7,
@@ -1288,8 +1282,8 @@ def exclude_degree_one_curves(hat):
              "the surface parameter count does not reduce to the binary"
              " pair")
 
-    a_aff = substitute(hat.a6, {"y": hat_amb.one()}, hat_amb)
-    c_aff = substitute(hat.c6, {"y": hat_amb.one()}, hat_amb)
+    affine = Substitution(hat_amb, hat_amb, {"y": hat_amb.one()})
+    a_aff, c_aff = affine(hat.a6), affine(hat.c6)
     res = resultant(a_aff, c_aff, "t")
     rval = res.constant_coefficient()
     gcd = _univariate_gcd([a_aff, c_aff], "t")
@@ -1402,16 +1396,17 @@ def build_involutions(nf, sigma_link):
              "the grading degree of the composite does not match the"
              " vanishing of lam")
     m = scale_degree - 1
-    eq1 = substitute(nf.F1, imap, amb) == nf.F1 * x**(12 * m)
-    eq2 = substitute(nf.F2, imap, amb) == nf.F2 * x**(14 * m)
+    apply_iota = Substitution(amb, amb, imap)
+    eq1 = apply_iota(nf.F1) == nf.F1 * x**(12 * m)
+    eq2 = apply_iota(nf.F2) == nf.F2 * x**(14 * m)
     _require(eq1, "the involution is not equivariant on F1")
     _require(eq2, "the involution is not equivariant on F2")
-    chart = {n: substitute(e, {"x": amb.one()}, amb)
-             for n, e in imap.items()}
+    on_chart = Substitution(amb, amb, {"x": amb.one()})
+    chart = {n: on_chart(e) for n, e in imap.items()}
+    apply_chart = Substitution(amb, amb, chart)
     square_ok = all(
-        substitute(chart[n], chart, amb) == amb.var(n)
-        for n in X_NAMES[1:]
-    ) and substitute(chart["x"], chart, amb) == amb.one()
+        apply_chart(chart[n]) == amb.var(n) for n in X_NAMES[1:]
+    ) and apply_chart(chart["x"]) == amb.one()
     _require(square_ok, "the involution does not square to the identity"
              " on the chart x = 1")
 
@@ -1445,7 +1440,7 @@ class InvolutionCheck:
 
 
 def verify_involution(equations, wps, images, samples=100, seed=0,
-                      field=None, sampler=None):
+                      sampler=None):
     """Check an involution tuple on sampled points of the variety.
 
     At each of the first samples points that sampler draws for seed,
@@ -1453,13 +1448,13 @@ def verify_involution(equations, wps, images, samples=100, seed=0,
     it twice must return the starting point up to the weighted
     coordinate scaling: at those points the tuple is defined, lands on
     the variety and is its own inverse.  sampler must sample equations
-    in wps; without one, the check draws its own over field, by default
-    F_(2^31-1).  link_stages passes the sampler of the census of X, so
-    the first min(samples, CENSUS_SAMPLES) points are the ones the
-    census checked for quasismoothness.  Returns a report instead of
+    in wps; without one, the check draws its own over F_(2^31-1).
+    link_stages passes the sampler of the census of X, so the first
+    min(samples, CENSUS_SAMPLES) points are the ones the census checked
+    for quasismoothness.  Returns a report instead of
     raising, so wrong tuples (negative controls) simply fail.
     """
-    sampler = sampler or _Sampler(equations, wps, field or GF(DEFAULT_PRIME))
+    sampler = sampler or _Sampler(equations, wps, GF(DEFAULT_PRIME))
     field = sampler.field
     entries = Evaluator(f.rename(sampler.amb) for f in images)
     passed = 0

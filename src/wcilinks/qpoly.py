@@ -125,12 +125,6 @@ class RationalField:
     def random(self, rng):
         return Fraction(rng.randint(-10, 10))
 
-    def random_nonzero(self, rng):
-        while True:
-            a = self.random(rng)
-            if a != 0:
-                return a
-
     def to_str(self, a):
         return str(a)
 
@@ -265,9 +259,6 @@ class PrimeField:
 
     def random(self, rng):
         return rng.randrange(self.p)
-
-    def random_nonzero(self, rng):
-        return rng.randrange(1, self.p)
 
     def to_str(self, a):
         return str(a % self.p)
@@ -954,19 +945,6 @@ class WeightVector:
         return f"1/{self.den}({body})"
 
 
-def weight_of(f, w):
-    """Minimum w-weight of f (its w-order).  None for the zero polynomial."""
-    return f.weight_of(w)
-
-
-def w_component(f, w, d):
-    return f.w_component(w, d)
-
-
-def quasi_homogeneous_degree(f, w):
-    return f.quasi_homogeneous_degree(w)
-
-
 # ---------------------------------------------------------------------------
 # substitution
 
@@ -1099,7 +1077,6 @@ def substitute(f, mapping, target=None):
     defaults to the ambient of f.
     """
     if target is None:
-        target = None
         for img in mapping.values():
             if isinstance(img, QPolynomial):
                 target = img.ambient
@@ -1181,39 +1158,51 @@ def divides(b, a):
         return False
 
 
-def _det_field(rows, field):
-    """Determinant of a matrix of field elements by Gaussian elimination."""
-    n = len(rows)
+def _eliminate(rows, field):
+    """Gaussian elimination of a matrix of field elements.
+
+    Returns (rank, product): the rank, and the product of the pivots
+    with its sign flipped once per row swap.  For a square matrix of
+    full rank the product is the determinant.  The matrix may be empty
+    or not square.
+    """
     m = [list(r) for r in rows]
-    det = field.one()
-    for k in range(n):
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    product = field.one()
+    for col in range(ncols):
+        if rank == nrows:
+            break
         pivot = None
-        for i in range(k, n):
-            if not field.is_zero(m[i][k]):
+        for i in range(rank, nrows):
+            if not field.is_zero(m[i][col]):
                 pivot = i
                 break
         if pivot is None:
-            return field.zero()
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = field.neg(det)
-        det = field.mul(det, m[k][k])
-        inv = field.inv(m[k][k])
-        for i in range(k + 1, n):
-            if field.is_zero(m[i][k]):
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            product = field.neg(product)
+        product = field.mul(product, m[rank][col])
+        inv = field.inv(m[rank][col])
+        for i in range(rank + 1, nrows):
+            if field.is_zero(m[i][col]):
                 continue
-            factor = field.mul(m[i][k], inv)
-            for j in range(k, n):
-                m[i][j] = field.sub(m[i][j], field.mul(factor, m[k][j]))
-    return det
+            factor = field.mul(m[i][col], inv)
+            for j in range(col, ncols):
+                m[i][j] = field.sub(m[i][j], field.mul(factor, m[rank][j]))
+        rank += 1
+    return rank, product
 
 
 def det(matrix):
     """Exact determinant of a square matrix of QPolynomials.
 
-    Scalar matrices go through field Gaussian elimination; matrices with
-    genuine polynomial entries use fraction-free Bareiss elimination with
-    exact polynomial division.
+    A scalar matrix goes through _eliminate: its determinant is the
+    signed pivot product when the rank is full, and zero otherwise.
+    Matrices with genuine polynomial entries use fraction-free Bareiss
+    elimination with exact polynomial division.
     """
     n = len(matrix)
     if n == 0:
@@ -1222,7 +1211,8 @@ def det(matrix):
     field = ambient.field
     if all(all(e.is_constant() for e in row) for row in matrix):
         rows = [[e.constant_coefficient() for e in row] for row in matrix]
-        return ambient.const(_det_field(rows, field))
+        rank, product = _eliminate(rows, field)
+        return ambient.const(product) if rank == n else ambient.zero()
     m = [list(row) for row in matrix]
     sign = 1
     prev = ambient.one()
@@ -1295,12 +1285,12 @@ def polynomial_sqrt(f):
     field = ambient.field
     if f.is_zero():
         return f
-    if getattr(field, "characteristic", 0) == 2:
+    if field.characteristic == 2:
         raise ValueError("square root not supported in characteristic 2")
     fm, fc = f.leading_term()
     if any(e % 2 for e in fm):
         return None
-    rc = field.sqrt(fc) if hasattr(field, "sqrt") else None
+    rc = field.sqrt(fc)
     if rc is None:
         return None
     gm = tuple(e // 2 for e in fm)
@@ -1340,9 +1330,10 @@ class Evaluator:
     (coefficient, ((index, exponent), ...)) with its nonzero exponents
     only, and the top exponent of each variable is recorded.  A call
     tabulates the powers of every coordinate once, up to its top
-    exponent, and shares the table across the polynomials.  Over F_p the
-    loop runs on plain ints with one reduction per polynomial; other
-    fields go through the field operations.
+    exponent, and shares the table across the polynomials.  One loop
+    serves both fields: the sums and products run on the native ints or
+    Fractions, and field.coerce finishes each value, which over F_p is
+    its one reduction mod p.
     """
 
     __slots__ = ("field", "lowered", "top")
@@ -1374,23 +1365,6 @@ class Evaluator:
         vals = [field.coerce(x) for x in point]
         if len(vals) != len(self.top):
             raise ValueError("point length does not match ambient")
-        if isinstance(field, PrimeField):
-            p = field.p
-            powers = []
-            for x, t in zip(vals, self.top):
-                row = [1]
-                for _ in range(t):
-                    row.append(row[-1] * x % p)
-                powers.append(row)
-            out = []
-            for terms in self.lowered:
-                total = 0
-                for c, mono in terms:
-                    for i, e in mono:
-                        c *= powers[i][e]
-                    total += c
-                out.append(total % p)
-            return out
         powers = []
         for x, t in zip(vals, self.top):
             row = [field.one()]
@@ -1399,12 +1373,12 @@ class Evaluator:
             powers.append(row)
         out = []
         for terms in self.lowered:
-            total = field.zero()
+            total = 0
             for c, mono in terms:
                 for i, e in mono:
-                    c = field.mul(c, powers[i][e])
-                total = field.add(total, c)
-            out.append(total)
+                    c *= powers[i][e]
+                total += c
+            out.append(field.coerce(total))
         return out
 
 
@@ -1431,40 +1405,12 @@ def rank_at(jac, point):
     vals = jac(point)
     n = len(jac.top)
     rows = [vals[k:k + n] for k in range(0, len(vals), n)]
-    return _scalar_rank(rows, jac.field)
+    return _eliminate(rows, jac.field)[0]
 
 
 def matrix_rank_at(fs, point):
     """Exact rank of the jacobian of fs at a point."""
     return rank_at(jacobian_evaluator(fs), point)
-
-
-def _scalar_rank(rows, field):
-    m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, len(m)):
-            if not field.is_zero(m[i][col]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = field.inv(m[row][col])
-        for i in range(row + 1, len(m)):
-            if field.is_zero(m[i][col]):
-                continue
-            factor = field.mul(m[i][col], inv)
-            for j in range(col, ncols):
-                m[i][j] = field.sub(m[i][j], field.mul(factor, m[row][j]))
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -1843,40 +1789,28 @@ def irreducibility_verdict(f, trials=20, seed=0):
 
     # rule 5: probabilistic line restriction over a prime field
     p = field.p if isinstance(field, PrimeField) else DEFAULT_PRIME
+    try:
+        fp = f.rename(Ambient(ambient.names, GF(p)))
+    except ZeroDivisionError:
+        # a denominator divisible by p: no line restriction is defined
+        return IrreducibilityVerdict("unknown", "no rule applied")
+    line = Ambient(("s",), GF(p))
     rng = random.Random(seed)
     n = ambient.nvars
     deg = f.total_degree()
     for trial in range(trials):
         a = [rng.randrange(1, p) for _ in range(n)]
         b = [rng.randrange(p) for _ in range(n)]
+        restrict = Substitution(fp.ambient, line, {
+            name: QPolynomial(line, {(1,): ai, (0,): bi})
+            for name, ai, bi in zip(ambient.names, a, b)
+        })
+        g = restrict(fp)
+        if g.total_degree() != deg:
+            continue
         coeffs = [0] * (deg + 1)
-        ok = True
-        for m, c in f.terms.items():
-            if isinstance(field, PrimeField):
-                cc = c
-            else:
-                den = c.denominator % p
-                if den == 0:
-                    ok = False
-                    break
-                cc = c.numerator * pow(den, -1, p) % p
-            # expand prod (a_i s + b_i)^{e_i} into a dense univariate
-            line = [cc]
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    nxt = [0] * (len(line) + 1)
-                    for k, lc in enumerate(line):
-                        nxt[k] = (nxt[k] + lc * b[i]) % p
-                        nxt[k + 1] = (nxt[k + 1] + lc * a[i]) % p
-                    line = nxt
-            for k, lc in enumerate(line):
-                coeffs[k] = (coeffs[k] + lc) % p
-        if not ok:
-            continue
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if len(coeffs) - 1 != deg:
-            continue
+        for (k,), c in g.terms.items():
+            coeffs[k] = c
         if _fp_univariate_irreducible(coeffs, p):
             return IrreducibilityVerdict(
                 "irreducible",

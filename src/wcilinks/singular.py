@@ -20,13 +20,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._records import factory, record
+from ._records import record
 from .qpoly import (
     Ambient,
     QPolynomial,
     Substitution,
     WeightVector,
-    _scalar_rank,
+    _eliminate,
     divexact,
     divides,
     irreducibility_verdict,
@@ -190,7 +190,7 @@ def classify_quotient_singularity(equations, wps, point):
         if not names:
             return 0
         rows = [[cols[n][j] for n in names] for j in range(c)]
-        return _scalar_rank(rows, field)
+        return _eliminate(rows, field)[0]
 
     # greedy full-rank subset in ambient coordinate order
     eliminated = []
@@ -404,7 +404,7 @@ class GermAnalysis:
     low_discrepancy_count: int
     chart: QuotientSingularity | None
     model_verdicts: dict
-    models: dict = factory(dict)
+    models: dict
     cited: tuple = ()
     notes: tuple = ()
 
@@ -446,6 +446,7 @@ def analyze_cA2_germ(g):
             low_discrepancy_count=0,
             chart=None,
             model_verdicts={},
+            models={},
             notes=("gates failed; no table computed",),
         )
 
@@ -560,7 +561,7 @@ def analyze_cE6_germ(f):
         return GermAnalysis(
             kind="cE6", gates=gates, parameters={}, rows=(),
             low_discrepancy_count=0, chart=None, model_verdicts={},
-            notes=("gates failed; no table computed",),
+            models={}, notes=("gates failed; no table computed",),
         )
     f = f.scale(field.inv(x2))
     w6 = f.w_component(w, 6)
@@ -621,7 +622,7 @@ def analyze_cE6_germ(f):
         return GermAnalysis(
             kind="cE6", gates=gates, parameters={"lambda": lam, "mu": mu},
             rows=(), low_discrepancy_count=0, chart=None, model_verdicts={},
-            notes=("gates failed; no table computed",),
+            models={}, notes=("gates failed; no table computed",),
         )
 
     # row E: the weight-six blowup of the hypersurface germ

@@ -31,12 +31,9 @@ from wcilinks.qpoly import (
     GF,
     QQ,
     WeightVector,
-    quasi_homogeneous_degree,
     resultant,
     substitute,
     toric_transform,
-    w_component,
-    weight_of,
 )
 from wcilinks.singular import analyze_cA2_germ, discrepancy_chart_oracle
 
@@ -285,11 +282,11 @@ def test_criterion_9_property_suites():
             w = WeightVector(tuple(rng.randint(1, 8) for _ in amb.names),
                              rng.randint(1, 3))
             degrees = sorted({w.weight(m) for m in f.terms})
-            pieces = [w_component(f, w, d) for d in degrees]
+            pieces = [f.w_component(w, d) for d in degrees]
             total = amb.zero()
             for d, piece in zip(degrees, pieces):
                 assert piece.is_zero() or \
-                    quasi_homogeneous_degree(piece, w) == d
+                    piece.quasi_homogeneous_degree(w) == d
                 total = total + piece
             assert total == f
 
@@ -316,7 +313,7 @@ def test_criterion_9_property_suites():
             at_zero = substitute(lifted, {"u": ext.zero()},
                                  ext).rename(amb)
             assert at_one == f
-            assert at_zero == w_component(f, w, weight_of(f, w))
+            assert at_zero == f.w_component(w, f.weight_of(w))
 
         # resultant of split binary forms equals the root product
         field = GF(101)

@@ -1,5 +1,6 @@
 """End-to-end tests of the link-certification pipeline."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,6 @@ from wcilinks.links import (
     normal_form_X1214,
     random_member,
     run_exclusion_blowups,
-    sample_point,
     singularity_census_X,
     singularity_census_hatX,
     verify_involution,
@@ -159,7 +159,8 @@ class TestCensusX:
         field = GF(2**31 - 1)
         amb = X_WPS.ambient(field)
         eqs = (nf.F1.rename(amb), nf.F2.rename(amb))
-        pt = sample_point((nf.F1, nf.F2), X_WPS, seed=5)
+        pt = links._Sampler((nf.F1, nf.F2), X_WPS, field).draw(
+            random.Random(5))
         assert all(field.is_zero(evaluate(f, pt)) for f in eqs)
 
     def test_census_main(self, nf):

@@ -28,7 +28,12 @@ from wcilinks.qpoly import (
     substitute,
     toric_transform,
 )
-from wcilinks.qpoly import _fp_univariate_irreducible, _univariate_gcd
+from wcilinks.qpoly import (
+    _eliminate,
+    _fp_univariate_irreducible,
+    _univariate_gcd,
+    det,
+)
 
 
 @pytest.fixture
@@ -791,6 +796,130 @@ def test_verdict_random_line_witness():
     assert v.kind in ("irreducible", "unknown")
 
 
+def _rule5_cases():
+    """Seeded polynomials in x, y, z of degree 3 to 5 in each variable,
+    most of them past rules 1-4 of irreducibility_verdict."""
+    rng = random.Random(9)
+    cases = []
+    for field in (QQ, GF(7), GF(101), GF(10007)):
+        amb = Ambient(("x", "y", "z"), field)
+        for _ in range(10):
+            deg = rng.randint(3, 5)
+            terms = {}
+            for _ in range(rng.randint(3, 7)):
+                e = [0, 0, 0]
+                for _ in range(deg):
+                    e[rng.randrange(3)] += 1
+                terms[tuple(e)] = Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 4))
+            for i in range(3):
+                e = [0, 0, 0]
+                e[i] = deg
+                terms.setdefault(tuple(e), Fraction(rng.randint(1, 9)))
+            if rng.random() < 0.5:
+                terms[(0, 0, 0)] = Fraction(rng.randint(1, 9))
+            cases.append(QPolynomial(amb, {m: field.coerce(c)
+                                           for m, c in terms.items()}))
+    return cases
+
+
+# the verdicts of _rule5_cases() with trials=4 and seed = index, frozen:
+# the rng draws, the skipped trials and the witness text of the line
+# restriction must not move
+RULE5_FROZEN = (
+    "irreducible: random line restriction mod 2147483647 irreducible of"
+    " full degree (trial 2)",
+    "irreducible: random line restriction mod 2147483647 irreducible of"
+    " full degree (trial 0)",
+    "irreducible: random line restriction mod 2147483647 irreducible of"
+    " full degree (trial 1)",
+    "irreducible: random line restriction mod 2147483647 irreducible of"
+    " full degree (trial 0)",
+    "unknown: no rule applied",
+    "irreducible: random line restriction mod 2147483647 irreducible of"
+    " full degree (trial 1)",
+    "irreducible: random line restriction mod 2147483647 irreducible of"
+    " full degree (trial 0)",
+    "irreducible: random line restriction mod 2147483647 irreducible of"
+    " full degree (trial 2)",
+    "irreducible: random line restriction mod 2147483647 irreducible of"
+    " full degree (trial 0)",
+    "unknown: no rule applied",
+    "unknown: no rule applied",
+    "unknown: no rule applied",
+    "unknown: no rule applied",
+    "irreducible: random line restriction mod 7 irreducible of full degree"
+    " (trial 0)",
+    "unknown: no rule applied",
+    "unknown: no rule applied",
+    "unknown: no rule applied",
+    "irreducible: random line restriction mod 7 irreducible of full degree"
+    " (trial 0)",
+    "irreducible: quadratic in x, discriminant not a square (no exact"
+    " polynomial square root)",
+    "irreducible: random line restriction mod 7 irreducible of full degree"
+    " (trial 3)",
+    "irreducible: random line restriction mod 101 irreducible of full"
+    " degree (trial 1)",
+    "irreducible: random line restriction mod 101 irreducible of full"
+    " degree (trial 2)",
+    "irreducible: random line restriction mod 101 irreducible of full"
+    " degree (trial 2)",
+    "irreducible: random line restriction mod 101 irreducible of full"
+    " degree (trial 0)",
+    "irreducible: random line restriction mod 101 irreducible of full"
+    " degree (trial 0)",
+    "irreducible: random line restriction mod 101 irreducible of full"
+    " degree (trial 2)",
+    "irreducible: random line restriction mod 101 irreducible of full"
+    " degree (trial 0)",
+    "irreducible: random line restriction mod 101 irreducible of full"
+    " degree (trial 0)",
+    "unknown: no rule applied",
+    "irreducible: random line restriction mod 101 irreducible of full"
+    " degree (trial 1)",
+    "unknown: no rule applied",
+    "irreducible: random line restriction mod 10007 irreducible of full"
+    " degree (trial 1)",
+    "irreducible: random line restriction mod 10007 irreducible of full"
+    " degree (trial 0)",
+    "irreducible: random line restriction mod 10007 irreducible of full"
+    " degree (trial 1)",
+    "unknown: no rule applied",
+    "irreducible: random line restriction mod 10007 irreducible of full"
+    " degree (trial 1)",
+    "unknown: no rule applied",
+    "irreducible: random line restriction mod 10007 irreducible of full"
+    " degree (trial 1)",
+    "irreducible: random line restriction mod 10007 irreducible of full"
+    " degree (trial 2)",
+    "irreducible: random line restriction mod 10007 irreducible of full"
+    " degree (trial 0)",
+)
+
+
+def test_verdict_line_restriction_frozen(A):
+    got = []
+    for i, f in enumerate(_rule5_cases()):
+        v = irreducibility_verdict(f, trials=4, seed=i)
+        got.append(f"{v.kind}: {v.witness}")
+    assert got == list(RULE5_FROZEN)
+    # a^4 = 1 for every nonzero a mod 5, so every line restriction of
+    # this quartic drops its degree and every trial is skipped
+    B = Ambient(("x", "y", "z"), GF(5))
+    v = irreducibility_verdict(B.parse("x^4 - y^4 + z^3 + x*y*z + 1"))
+    assert (v.kind, v.witness) == ("unknown", "no rule applied")
+    # a denominator divisible by p leaves no line restriction defined
+    base = A.parse("x^3 + y^3 + z^3 + x*y*z + 1")
+    term = A.parse("x*y^2")
+    v = irreducibility_verdict(base + term.scale(Fraction(1, 2)))
+    assert (v.kind, v.witness) == (
+        "irreducible", "random line restriction mod 2147483647"
+        " irreducible of full degree (trial 4)")
+    v = irreducibility_verdict(base + term.scale(Fraction(1, DEFAULT_PRIME)))
+    assert (v.kind, v.witness) == ("unknown", "no rule applied")
+
+
 # ---------------------------------------------------------------------------
 # evaluation and jacobians
 
@@ -819,6 +948,68 @@ def test_jacobian_rank_over_a_prime_field():
     assert matrix_rank_at(fs, [1, 1, -3]) == 1
     assert matrix_rank_at(fs, [1, 1, 98]) == 1
     assert matrix_rank_at(fs, [0, 0, 0]) == 1
+
+
+def _scalar_matrices(field, rng):
+    """Seeded scalar matrices with planted pivot swaps, zero columns and
+    dependent rows."""
+    pool = [0, 0, 0, 1, -1, 2, Fraction(3, 7), 10**9 + 9]
+    for _ in range(150):
+        nrows = rng.randint(1, 5)
+        ncols = nrows if rng.random() < 0.5 else rng.randint(1, 5)
+        rows = [[field.coerce(rng.choice(pool + [rng.randint(-50, 50)]))
+                 for _ in range(ncols)] for _ in range(nrows)]
+        shape = rng.randrange(4)
+        if shape == 0:
+            col = rng.randrange(ncols)
+            for row in rows:
+                row[col] = field.zero()
+        elif shape == 1 and nrows > 1:
+            rows[0][0] = field.zero()
+            rows[rng.randrange(1, nrows)][0] = field.one()
+        elif shape == 2 and nrows > 2:
+            k = field.coerce(rng.randint(2, 9))
+            rows[-1] = [field.add(a, field.mul(k, b))
+                        for a, b in zip(rows[0], rows[1])]
+        yield rows
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_det_and_rank_match_sympy(field):
+    from sympy.polys.matrices import DomainMatrix
+
+    K = sympy.QQ if field == QQ else sympy.GF(field.p)
+
+    def element(c):
+        if field == QQ:
+            return K(c.numerator, c.denominator)
+        return K(c)
+
+    def back(d):
+        if field == QQ:
+            return Fraction(int(d.numerator), int(d.denominator))
+        return int(d) % field.p
+
+    amb = Ambient(("x",), field)
+    seen = {"swap": 0, "zero-column": 0, "singular": 0, "non-square": 0}
+    for rows in _scalar_matrices(field, random.Random(f"det/{field!r}")):
+        nrows, ncols = len(rows), len(rows[0])
+        oracle = DomainMatrix([[element(c) for c in row] for row in rows],
+                              (nrows, ncols), K)
+        rank = oracle.rank()
+        assert _eliminate(rows, field)[0] == rank, rows
+        if nrows == ncols:
+            got = det([[amb.const(c) for c in row] for row in rows])
+            assert got.is_constant()
+            assert got.constant_coefficient() == back(oracle.det()), rows
+            seen["singular"] += rank < nrows
+        else:
+            seen["non-square"] += 1
+        seen["swap"] += field.is_zero(rows[0][0]) and any(
+            not field.is_zero(row[0]) for row in rows[1:])
+        seen["zero-column"] += any(
+            all(field.is_zero(row[j]) for row in rows) for j in range(ncols))
+    assert min(seen.values()) >= 20, seen
 
 
 def _reference_evaluate(f, point):
