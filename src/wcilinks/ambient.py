@@ -351,7 +351,7 @@ class Rank2Toric:
         amb = f.ambient
         idx = [self.index(n) for n in amb.names]
         seen = set()
-        for m in f.terms:
+        for m, _ in f.items():
             a = sum(e * self.columns[idx[i]][0] for i, e in enumerate(m))
             b = sum(e * self.columns[idx[i]][1] for i, e in enumerate(m))
             seen.add((a, b))
@@ -679,7 +679,7 @@ def _common_positive_weights(eqs, p, q, ambient):
     ip, iq = ambient.index(p), ambient.index(q)
     diffs = []
     for eq in eqs:
-        monos = list(eq.terms)
+        monos = [m for m, _ in eq.items()]
         base = (monos[0][ip], monos[0][iq])
         for m in monos[1:]:
             diffs.append((m[ip] - base[0], m[iq] - base[1]))
@@ -739,10 +739,8 @@ def certify_stratum_empty(equations, dead, left, right, depth=16):
         # a monomial equation forces some coordinate in its support to zero
         for eq in eqs:
             if eq.is_monomial():
-                (mono,) = eq.terms
-                support = [
-                    ambient.names[i] for i, e in enumerate(mono) if e > 0
-                ]
+                occurring = eq.variables()
+                support = [n for n in ambient.names if n in occurring]
                 children = []
                 ok = True
                 for v in support:

@@ -453,16 +453,14 @@ def _parse_weight_flags(args, spec):
 def cmd_blowup(args):
     spec = _spec_from_args(args, need_equations=True)
     weights, rest = _parse_weight_flags(args, spec)
-    den = args.den
-    if den < 1:
-        raise CliError("--den must be a positive integer")
+    # the chart of a coordinate point of weight r is a 1/r quotient germ
+    den = spec.wps.weight(args.center)
     amb = spec.wps.ambient()
     chart_amb = Ambient(tuple(rest))
     one = amb.one()
     eqs = tuple(substitute(f, {args.center: one}, amb).rename(chart_amb)
                 for f in spec.equations)
-    residues = tuple(spec.wps.weight(n) % den if den > 1 else 0
-                     for n in rest)
+    residues = tuple(spec.wps.weight(n) % den for n in rest)
     germ = Germ(chart_amb, eqs, den, residues)
     b = WeightVector(tuple(weights[n] for n in rest), den)
     record, charts, agree = discrepancy_chart_oracle(germ, b)
@@ -776,9 +774,6 @@ def build_parser():
     sub.add_argument("--weights",
                      help="blowup weights as name=int pairs, e.g."
                           " y=4,z=1,t=2,w=1")
-    sub.add_argument("--den", type=int, default=1,
-                     help="lattice denominator r of a 1/r quotient germ"
-                          " (default 1)")
     sub.set_defaults(func=cmd_blowup)
 
     sub = subs.add_parser("two-ray",

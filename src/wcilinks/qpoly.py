@@ -585,6 +585,14 @@ class QPolynomial:
 
     # -- structure access ----------------------------------------------------
 
+    def items(self):
+        """The (exponent tuple, coefficient) pairs, in term order.
+
+        The one way code outside this module reads a polynomial's terms;
+        the layout behind it is this module's own.  A read-only view.
+        """
+        return self.terms.items()
+
     def sorted_terms(self):
         """Terms in descending grevlex order."""
         return sorted(
@@ -653,23 +661,18 @@ class QPolynomial:
         terms = {}
         for m, c in self.terms.items():
             e = m[i]
-            if e == 0:
-                continue
-            dm = m[:i] + (e - 1,) + m[i + 1 :]
-            dc = field.mul(c, field.coerce(e))
-            if field.is_zero(dc):
-                continue
-            if dm in terms:
-                terms[dm] = field.add(terms[dm], dc)
-            else:
-                terms[dm] = dc
-        return QPolynomial(self.ambient, terms)
+            if e:
+                dc = field.mul(c, field.coerce(e))
+                if not field.is_zero(dc):
+                    terms[m[:i] + (e - 1,) + m[i + 1 :]] = dc
+        return _poly(self.ambient, terms)
 
     def rename(self, new_ambient, mapping=None):
         """Move to another ambient, matching variables by name.
 
         mapping optionally sends old names to new names.  Any variable that
-        actually occurs must have an image in the new ambient.
+        actually occurs must have an image in the new ambient.  Terms that
+        land on one monomial are added, and a zero sum is dropped.
         """
         mapping = mapping or {}
         old = self.ambient.names
@@ -680,6 +683,7 @@ class QPolynomial:
                 slot.append(new_ambient.index(target))
             except KeyError:
                 slot.append(None)
+        field = new_ambient.field
         terms = {}
         for m, c in self.terms.items():
             e = [0] * new_ambient.nvars
@@ -692,7 +696,14 @@ class QPolynomial:
                         f"variable {old[i]!r} occurs but has no image in {new_ambient.names}"
                     )
                 e[j] += exp
-            terms[tuple(e)] = new_ambient.field.coerce(c)
+            key = tuple(e)
+            c = field.coerce(c)
+            if key in terms:
+                c = field.add(terms[key], c)
+                if field.is_zero(c):
+                    del terms[key]
+                    continue
+            terms[key] = c
         return QPolynomial(new_ambient, terms)
 
     # -- weighted structure ---------------------------------------------------

@@ -42,6 +42,7 @@ __all__ = [
     "Germ",
     "GermAnalysis",
     "GermRow",
+    "InconsistencyError",
     "QuadraticInvolutionResult",
     "QuotientSingularity",
     "SingularityReport",
@@ -54,6 +55,10 @@ __all__ = [
     "quasismooth_on_stratum",
     "weighted_blowup_discrepancy",
 ]
+
+
+class InconsistencyError(RuntimeError):
+    """Two independent computations of the same quantity disagree."""
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +438,7 @@ def analyze_cA2_germ(g):
         raise ValueError("expected a polynomial in two variables z, t")
     zn, tn = zt.names
     gates = {}
-    gates["even_in_z"] = all(m[0] % 2 == 0 for m in g.terms)
+    gates["even_in_z"] = all(m[0] % 2 == 0 for m, _ in g.items())
     scale = WeightVector((1, 2), 1)
     gates["order_six"] = g.weight_of(scale) == 6
     gates["t_cubed_present"] = not zt.field.is_zero(g.coefficient((0, 3)))
@@ -458,7 +463,9 @@ def analyze_cA2_germ(g):
     gates["chart_oracle_agrees"] = agreement
     g6 = g.w_component(scale, 6)
     e_model = amb.var("x") * amb.var("y") + g6.rename(amb)
-    assert record.exceptional_equations[0] == e_model
+    if record.exceptional_equations[0] != e_model:
+        raise InconsistencyError(
+            "the cA/2 exceptional equation differs from x*y + g6")
     verdict = irreducibility_verdict(e_model)
     rows = [
         GermRow(
@@ -553,7 +560,8 @@ def analyze_cE6_germ(f):
     notes = []
     gates["order_six"] = f.weight_of(w) == 6
     w6 = f.w_component(w, 6)
-    gates["weight_six_support"] = set(w6.terms) <= _CE6_W6_SUPPORT
+    gates["weight_six_support"] = all(
+        m in _CE6_W6_SUPPORT for m, _ in w6.items())
     x2 = w6.coefficient((2, 0, 0, 0))
     gates["x_squared_present"] = not field.is_zero(x2)
     if not (gates["order_six"] and gates["weight_six_support"]
@@ -590,7 +598,7 @@ def analyze_cE6_germ(f):
     gates["t_squared_unit"] = not field.is_zero(c_t)
     h = q - x - z * (t.scale(lam) + g2) - t.scale(c_t) * t
     gates["h_order_at_least_four"] = h.is_zero() or h.weight_of(w) >= 4
-    h_even_z = all(m[amb.index(zn)] % 2 == 0 for m in h.terms)
+    h_even_z = all(m[amb.index(zn)] % 2 == 0 for m, _ in h.items())
 
     # binary cubic certificate: the form in (y, z^2), corrected by the
     # square of z*g2 when the t-slot is absent, must have simple roots
@@ -656,7 +664,9 @@ def analyze_cE6_germ(f):
     eq1 = sv * chart_amb.var(xn) + c0
     eq2 = sv - s_expr
     # exact re-embedding: eliminating s recovers the chart equation
-    assert substitute(eq1, {"s": s_expr}, chart_amb) == chart_f
+    if substitute(eq1, {"s": s_expr}, chart_amb) != chart_f:
+        raise InconsistencyError(
+            "eliminating s does not recover the cE6 chart equation")
     chart_germ = Germ(chart_amb, (eq1, eq2), 2, (1, 0, 1, 1, 1))
 
     model_verdicts = {"E": e_verdict}
@@ -680,7 +690,7 @@ def analyze_cE6_germ(f):
         tinv = field.inv(tcoeff.constant_coefficient())
         t_image = chart_amb.var(tn) - low2.scale(tinv)
         mult = None
-        for d in sorted({bi.weight(m) for m in rhs.terms}):
+        for d in sorted({bi.weight(m) for m, _ in rhs.items()}):
             cand = rhs.w_component(bi, d)
             red = substitute(cand, {tn: t_image}, chart_amb)
             if not red.is_zero():

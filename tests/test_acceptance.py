@@ -281,7 +281,7 @@ def test_criterion_9_property_suites():
             f = _random_poly(rng, amb)
             w = WeightVector(tuple(rng.randint(1, 8) for _ in amb.names),
                              rng.randint(1, 3))
-            degrees = sorted({w.weight(m) for m in f.terms})
+            degrees = sorted({w.weight(m) for m, _ in f.items()})
             pieces = [f.w_component(w, d) for d in degrees]
             total = amb.zero()
             for d, piece in zip(degrees, pieces):

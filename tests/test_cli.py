@@ -12,6 +12,7 @@ import pytest
 import wcilinks
 import wcilinks.links
 import wcilinks.qpoly
+import wcilinks.singular
 from wcilinks.cli import CliError, build_report, emit, load_input, main
 
 MAIN_F1 = ("w*x + y^6 + y^4*t + y^2*t^2 + t^3 + y*z*v + z^4"
@@ -251,7 +252,7 @@ class TestBlowup:
     def test_eleventh_point_kawamata(self, member_path, capsys):
         report = run_json(
             ["blowup", member_path, "--center", "w",
-             "--weights", "x=6,y=1,z=7,t=2,v=9", "--den", "11"], capsys)
+             "--weights", "x=6,y=1,z=7,t=2,v=9"], capsys)
         rec = step(report, "blowup")
         assert rec["discrepancy"] == "1/11"
         assert rec["orders"] == ["6/11", "7/11"]
@@ -435,6 +436,22 @@ class TestExitCodes:
         assert code == 2
         assert "member rejected" in err
 
+    def test_failed_identity_is_an_internal_inconsistency(
+            self, member_path, capsys, monkeypatch):
+        # the cE6 chart re-embedding is checked by a raise, not an assert,
+        # so it also holds under python -O
+        real = wcilinks.singular.substitute
+
+        def off_by_one(f, mapping, target=None):
+            image = real(f, mapping, target)
+            return image + 1 if set(mapping) == {"s"} else image
+
+        monkeypatch.setattr(wcilinks.singular, "substitute", off_by_one)
+        code, _, err = run_cli(["classify", member_path, "--samples", "5"],
+                               capsys)
+        assert code == 3
+        assert "eliminating s does not recover the cE6 chart" in err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
@@ -452,10 +469,13 @@ class TestExitCodes:
         ["link", "--random", "7", "--samples", "-2"],
         ["qsmooth", "--random", "7", "--samples", "0"],
         ["verify-paper", "--seed", "7", "--samples", "0"],
+        # the center's weight fixes the quotient order of the chart
+        ["blowup", "--random", "7", "--center", "w",
+         "--weights", "x=6,y=1,z=7,t=2,v=9", "--den", "11"],
     ], ids=["format-yaml", "analyze-parallel", "two-ray-seed",
             "verify-paper-parallel", "classify-samples-negative",
             "link-samples-negative", "qsmooth-samples-zero",
-            "verify-paper-samples-zero"])
+            "verify-paper-samples-zero", "blowup-den"])
     def test_invalid_flag_value(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)

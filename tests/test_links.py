@@ -1,6 +1,7 @@
 """End-to-end tests of the link-certification pipeline."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -343,6 +344,28 @@ class TestExclusions:
         r1, r2 = run_exclusion_blowups(link.hat)
         assert r1.verdict.kind == "NotSarkisov"
         assert r2.verdict.kind == "NotSarkisov"
+
+    @pytest.mark.parametrize("failing, blowup",
+                             [(0, "(4,1,2,1)"), (1, "(2,1,2,1,4)")])
+    def test_uncertified_exceptional_divisor_rejects(
+            self, sigma, monkeypatch, failing, blowup):
+        # the report notes an irreducible exceptional divisor only when
+        # the verdict certifies it
+        cond = condition_check(sigma.hat)
+        real = links.irreducibility_verdict
+        calls = []
+
+        def verdict(f, trials=20):
+            calls.append(f)
+            if len(calls) == failing + 1:
+                return qpoly.IrreducibilityVerdict("unknown", "patched")
+            return real(f, trials=trials)
+
+        monkeypatch.setattr(links, "irreducibility_verdict", verdict)
+        message = re.escape(f"{blowup} blowup is not certified")
+        with pytest.raises(CertificateError, match=message):
+            run_exclusion_blowups(sigma.hat, condition=cond)
+        assert len(calls) == failing + 1
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,10 @@ def test_derivative(A):
     assert f.derivative("x") == A.parse("3*x^2*y - 4")
     assert f.derivative("z") == A.parse("2*z")
     assert f.derivative("y") == A.parse("x^3")
+    F3 = Ambient(("x", "y"), GF(3))
+    # 3*x^2 vanishes in characteristic three and leaves no zero term
+    assert list(F3.parse("x^3 + 2*x*y").derivative("x").items()) == [
+        ((0, 1), 2)]
 
 
 def test_as_univariate_and_coefficients(A):
@@ -318,6 +322,10 @@ def test_substitute_zero_image_drops_exactly_the_terms_with_it(A):
 # its way up from one
 
 
+def _terms(f):
+    return dict(f.items())
+
+
 def _ref_is_zero(c, field):
     return c % field.p == 0 if field.characteristic else c == 0
 
@@ -382,7 +390,7 @@ def _reference_substitute(sub, f):
     field, nvars = sub.target.field, sub.target.nvars
     powers = [{0: _ref_one(field, nvars)} for _ in sub.images]
     result = {}
-    for m, c in f.terms.items():
+    for m, c in f.items():
         piece = _ref_clean({(0,) * nvars: field.coerce(c)}, field)
         for i, e in enumerate(m):
             if e == 0:
@@ -392,7 +400,7 @@ def _reference_substitute(sub, f):
             cache = powers[i]
             while e not in cache:
                 top = max(cache)
-                cache[top + 1] = _ref_mul(cache[top], sub.images[i].terms,
+                cache[top + 1] = _ref_mul(cache[top], _terms(sub.images[i]),
                                           field)
             piece = _ref_mul(piece, cache[e], field)
         result = _ref_add(result, piece, field)
@@ -415,7 +423,7 @@ def _random_image(rng, target, kind):
     if kind == "scaled":
         return target.monomial(exps(), rng.choice([Fraction(-2, 3), 4, -1]))
     f = target.zero()
-    while len(f.terms) < 2:
+    while len(f.items()) < 2:
         f = f + target.monomial(exps(), rng.randint(-3, 3))
     return f
 
@@ -445,7 +453,7 @@ def test_substitute_matches_reference(field):
             # goes to zero, and adding h leaves only h's image
             mapping["y"] = mapping.get("x", target.var("x"))
             swapped = QPolynomial(source, {
-                (m[1], m[0]) + m[2:]: c for m, c in g.terms.items()})
+                (m[1], m[0]) + m[2:]: c for m, c in g.items()})
             h = QPolynomial(source, {(0, 0, 1, 1): field.one()})
             f = g - swapped + (h if case % 2 else source.zero())
         else:
@@ -454,14 +462,15 @@ def test_substitute_matches_reference(field):
             f = f.rename(shuffled)
         sub = Substitution(source, target, mapping)
         multi = [i for i, img in enumerate(sub.images)
-                 if len(img.terms) > 1]
-        patterns = [tuple(m[i] for i in multi) for m in f.rename(source).terms]
+                 if len(img.items()) > 1]
+        patterns = [tuple(m[i] for i in multi)
+                    for m, _ in f.rename(source).items()]
         repeated += bool(multi) and len(set(patterns)) < len(patterns)
         got = sub(f)
         want = _reference_substitute(sub, f)
         assert got.ambient == target
-        assert not any(field.is_zero(c) for c in got.terms.values())
-        assert list(got.terms.items()) == list(want.items())
+        assert not any(field.is_zero(c) for _, c in got.items())
+        assert list(got.items()) == list(want.items())
         cancelled += not f.is_zero() and got.is_zero()
     assert repeated >= 30
     assert cancelled >= 10
@@ -484,8 +493,8 @@ def test_kernel_matches_reference(field):
             for _ in range(size)})
 
     def check(got, want):
-        assert not any(field.is_zero(c) for c in got.terms.values())
-        assert list(got.terms.items()) == list(want.items())
+        assert not any(field.is_zero(c) for _, c in got.items())
+        assert list(got.items()) == list(want.items())
         return got
 
     seen = {"sum": 0, "product": 0}
@@ -494,22 +503,22 @@ def test_kernel_matches_reference(field):
         g = poly(amb, rng.randint(0, 6))
         if case % 3 == 0:
             g = -f + poly(amb, rng.randint(0, 2))  # f + g cancels f
-        total = check(f + g, _ref_add(f.terms, g.terms, field))
-        seen["sum"] += len(total.terms) < len(set(f.terms) | set(g.terms))
-        check(f - g, _ref_add(f.terms, _ref_neg(g.terms, field), field))
-        check(-f, _ref_neg(f.terms, field))
+        total = check(f + g, _ref_add(_terms(f), _terms(g), field))
+        seen["sum"] += len(total.items()) < len(_terms(f).keys() | _terms(g))
+        check(f - g, _ref_add(_terms(f), _ref_neg(_terms(g), field), field))
+        check(-f, _ref_neg(_terms(f), field))
         if case % 4 == 0:
             # (f + h)(f - h) = f^2 - h^2: the cross terms cancel
             h = poly(amb, rng.randint(1, 3))
             f, g = f + h, f - h
-        product = check(f * g, _ref_mul(f.terms, g.terms, field))
+        product = check(f * g, _ref_mul(_terms(f), _terms(g), field))
         sums = {tuple(x + y for x, y in zip(a, b))
-                for a in f.terms for b in g.terms}
-        seen["product"] += len(product.terms) < len(sums)
+                for a in _terms(f) for b in _terms(g)}
+        seen["product"] += len(product.items()) < len(sums)
         n = rng.randint(0, 5)
         single = poly(amb, 1)
-        check(single ** n, _ref_pow(single.terms, n, field, 3))
-        check(f ** n, _ref_pow(f.terms, n, field, 3))
+        check(single ** n, _ref_pow(_terms(single), n, field, 3))
+        check(f ** n, _ref_pow(_terms(f), n, field, 3))
     assert min(seen.values()) >= 10, seen
 
 
@@ -534,6 +543,16 @@ def test_rename_by_name(A):
     assert g == B.parse("x^2*y - z")
     h = f.rename(B, {"x": "w"})
     assert h == B.parse("w^2*y - z")
+
+
+def test_rename_adds_terms_that_collide(A):
+    Z = Ambient(("z",), QQ)
+    onto = {"x": "z", "y": "z"}
+    assert A.parse("x + y").rename(Z, onto) == Z.parse("2*z")
+    assert A.parse("x - y").rename(Z, onto).is_zero()
+    assert A.parse("x - y + 3").rename(Z, onto) == Z.const(3)
+    assert list(A.parse("x*z - y*z + z").rename(A, onto).items()) == [
+        ((0, 0, 1), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +618,7 @@ def test_resultant_matches_sympy(A):
 
     def to_sympy(f):
         expr = 0
-        for m, c in f.terms.items():
+        for m, c in f.items():
             term = sympy.Rational(c)
             for s, e in zip(xs, m):
                 term *= s**e
@@ -636,7 +655,7 @@ def test_univariate_gcd_degree_matches_sympy():
 
     def to_sympy(f):
         return sympy.Poly(sum(sympy.Rational(c) * T**m[0]
-                              for m, c in f.terms.items()), T)
+                              for m, c in f.items()), T)
 
     for _ in range(60):
         common = rand_poly(rng.randint(0, 3))
@@ -1020,7 +1039,7 @@ def _reference_evaluate(f, point):
     if len(vals) != f.ambient.nvars:
         raise ValueError("point length does not match ambient")
     total = field.zero()
-    for m, c in f.terms.items():
+    for m, c in f.items():
         prod = c
         for x, e in zip(vals, m):
             if e:
@@ -1072,7 +1091,7 @@ def test_evaluator_matches_reference(field):
         seen["zero"] += any(f.is_zero() for f in fs)
         seen["constant"] += any(f.is_constant() and not f.is_zero()
                                 for f in fs)
-        seen["high"] += any(max(m) > 10 for f in fs for m in f.terms)
+        seen["high"] += any(max(m) > 10 for f in fs for m, _ in f.items())
         seen["zero-coordinate"] += 0 in point
     assert min(seen.values()) >= 20, seen
 
