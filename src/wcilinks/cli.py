@@ -505,7 +505,7 @@ def cmd_link(args):
          "F1": str(nf.F1), "F2": str(nf.F2),
          "lambda": _rat(nf.lam), "mu": _rat(nf.mu),
          "resultant": _rat(nf.certificate.resultant),
-         "steps": list(nf.change.steps)},
+         "steps": [label for label, _ in nf.steps]},
         {"name": "census",
          "fano_index": census.fano_index,
          "singular_points": {p: q.type_label()
@@ -737,7 +737,7 @@ def _add_sampling(sub, samples_default=100):
 
 
 def _add_trials(sub):
-    sub.add_argument("--trials", type=int, default=20,
+    sub.add_argument("--trials", type=_positive_int, default=20,
                      help="witness trials for irreducibility checks"
                           " (default 20)")
 

@@ -8,8 +8,9 @@ X = X_{12,14} of P(1,2,3,4,7,11) with coordinates (x, y, z, t, v, w):
       F1 = -x*w + S12,   S12 = a12(y,t) + lam*y*z*v + z^4 + z^2*y*b4(y,t),
       F2 =  z*w + v^2 + y*c12(y,t) + g14(x,y,z,t),
 
-  recording the coordinate change, its inverse, and a nondegeneracy
-  certificate (mu != 0, c12 != 0, Res_t(a12, c12) != 0);
+  by a chain of coordinate steps, each certified a graded automorphism
+  as it is applied, with a nondegeneracy certificate (mu != 0, c12 != 0,
+  Res_t(a12, c12) != 0);
 * census the coordinate points of X: exactly one singular point, of
   terminal type 1/11(1,2,9) at the weight-11 coordinate;
 * run the two-ray game of the (6,1,7,2,9)/11 blowup of that point and
@@ -83,7 +84,6 @@ __all__ = [
     "CensusHatX",
     "CensusX",
     "CertificateError",
-    "ChangeOfCoordinates",
     "ConditionReport",
     "CurveExclusion",
     "HAT_WPS",
@@ -189,46 +189,6 @@ def random_member(seed):
     return tuple(eqs)
 
 
-# ---------------------------------------------------------------------------
-# coordinate-change bookkeeping
-
-
-def _compose(amb, first, then):
-    """Mapping whose substitution equals applying first, then `then`."""
-    out = dict(then)
-    sub = Substitution(amb, amb, then)
-    for n, img in first.items():
-        out[n] = sub(img)
-    return out
-
-
-@record
-class ChangeOfCoordinates:
-    """A composed chain of coordinate substitutions with its inverse.
-
-    forward maps old coordinates to polynomials in the new ones, so that
-    new_F = multiplier * substitute(old_F, forward); inverse undoes it.
-    """
-
-    ambient: Ambient
-    forward: dict
-    inverse: dict
-    multipliers: tuple
-    steps: tuple
-
-    def verify(self, originals, finals):
-        """Both directions of the round trip, exactly."""
-        amb = self.ambient
-        forward = Substitution(amb, amb, self.forward)
-        inverse = Substitution(amb, amb, self.inverse)
-        for old, new, m in zip(originals, finals, self.multipliers):
-            if forward(old).scale(m) != new:
-                return False
-            if inverse(new).scale(QQ.inv(m)) != old:
-                return False
-        return True
-
-
 @record
 class NondegeneracyCertificate:
     """Open conditions making the normal form and its links generic."""
@@ -256,7 +216,7 @@ class NormalFormX1214:
     c12: QPolynomial
     g14: QPolynomial
     mu: Fraction
-    change: ChangeOfCoordinates
+    steps: tuple
     certificate: NondegeneracyCertificate
 
 
@@ -264,6 +224,28 @@ class NormalFormX1214:
 _BW = WeightVector((6, 1, 7, 2, 9, 0), 11)
 # weight one on x and z: order at least two is membership in (x, z)^2
 _XZ = WeightVector((1, 0, 1, 0, 0, 0))
+_WV = X_WPS.weight_vector()
+
+
+def _require_graded_automorphism(mapping):
+    """Refuse a coordinate step that is not a graded automorphism.
+
+    Each moved generator n must go to c*n + h, with c a nonzero constant,
+    h free of every generator the step moves, and c*n + h quasi-homogeneous
+    of the weight of n.  Raises InconsistencyError naming the first
+    generator that fails.
+    """
+    for n, img in mapping.items():
+        amb = img.ambient
+        c = img.coefficient(n)
+        _require(not QQ.is_zero(c), f"the step scales {n} by zero")
+        h = img - amb.var(n).scale(c)
+        _require(not h.variables() & mapping.keys(),
+                 f"the shift of {n} involves a coordinate the step moves")
+        weight = X_WEIGHTS[amb.index(n)]
+        _require(img.quasi_homogeneous_degree(_WV) == weight,
+                 f"the image of {n} is not quasi-homogeneous of weight"
+                 f" {weight}")
 
 
 def normal_form_X1214(F1, F2):
@@ -272,18 +254,32 @@ def normal_form_X1214(F1, F2):
     The chain: scale v^2 to 1; complete the square in v; recenter z so
     the coefficient of w in F2 is a multiple of z; absorb the x-divisible
     part of F1 into w; repeat until stable; then rescale coordinates so
-    the coefficients of x*w, z^4 and z*w are -1, 1, 1.  Raises
-    CertificateError when a required monomial is missing and
-    InconsistencyError if the recorded chain fails its own round trip.
+    the coefficients of x*w, z^4 and z*w are -1, 1, 1.
+
+    Each coordinate step is certified as it is applied: it sends every
+    generator n it moves to c*n + h, where c is a nonzero constant, h
+    involves no generator the step moves, and c*n + h is quasi-homogeneous
+    of the weight of n.  Such a substitution is a graded automorphism of
+    the coordinate ring, so of P(1,2,3,4,7,11): the substitution
+    n -> (n - h)/c, fixing the other generators, undoes it, because h
+    involves only generators both maps fix.  The normalized pair is
+    computed by applying these substitutions in order, so it is the image
+    of (F1, F2) under their composite, up to the two nonzero equation
+    scalars.  steps records each (label, mapping) in that order, with {}
+    for the two equation rescalings.
+
+    Raises ValueError for a pair of the wrong coordinates or degrees,
+    CertificateError when a required monomial is missing, and
+    InconsistencyError when a step is not a graded automorphism or the
+    split shape does not read off.
     """
     amb = F1.ambient
     _require(amb.names == X_NAMES, "expected coordinates (x,y,z,t,v,w)",
              ValueError)
-    wv = X_WPS.weight_vector()
-    _require(F1.quasi_homogeneous_degree(wv) == 12,
+    _require(F1.quasi_homogeneous_degree(_WV) == 12,
              "first equation is not quasi-homogeneous of degree 12",
              ValueError)
-    _require(F2.quasi_homogeneous_degree(wv) == 14,
+    _require(F2.quasi_homogeneous_degree(_WV) == 14,
              "second equation is not quasi-homogeneous of degree 14",
              ValueError)
     for mono, f, label in (
@@ -297,22 +293,17 @@ def normal_form_X1214(F1, F2):
 
     x, y, z, t, v, w = (amb.var(n) for n in X_NAMES)
     f1, f2 = F1, F2
-    forward, inverse = {}, {}
-    m1, m2 = Fraction(1), Fraction(1)
     steps = []
 
-    def apply(mapping, inv_mapping, label):
-        nonlocal f1, f2, forward, inverse
+    def apply(mapping, label):
+        nonlocal f1, f2
+        _require_graded_automorphism(mapping)
         sub = Substitution(amb, amb, mapping)
         f1, f2 = sub(f1), sub(f2)
-        forward = _compose(amb, forward, mapping)
-        inverse = _compose(amb, inv_mapping, inverse)
-        steps.append(label)
+        steps.append((label, mapping))
 
-    s = f2.coefficient("v^2")
-    f2 = f2.scale(QQ.inv(s))
-    m2 *= QQ.inv(s)
-    steps.append("scale F2 so v^2 has coefficient 1")
+    f2 = f2.scale(QQ.inv(f2.coefficient("v^2")))
+    steps.append(("scale F2 so v^2 has coefficient 1", {}))
 
     for _ in range(12):
         q7 = f2.coefficient_of_power("v", 1)
@@ -322,23 +313,20 @@ def normal_form_X1214(F1, F2):
         xpart = rest1 - rest1.coefficient_of_power("x", 0)
         wc = f1.coefficient_of_power("w", 1)
         if not q7.is_zero():
-            half = q7.scale(Fraction(-1, 2))
-            apply({"v": v + half}, {"v": v - half}, "complete the square in v")
+            apply({"v": v + q7.scale(Fraction(-1, 2))},
+                  "complete the square in v")
         elif not zeta_rest.is_zero():
             az = zeta.coefficient("z")
             _require(not QQ.is_zero(az),
                      "member is too special: no w*z in F2", CertificateError)
-            delta = zeta_rest.scale(QQ.inv(az))
-            apply({"z": z - delta}, {"z": z + delta},
+            apply({"z": z - zeta_rest.scale(QQ.inv(az))},
                   "recenter z against the w-coefficient of F2")
         elif not xpart.is_zero() or wc != x.scale(Fraction(-1)):
             c1 = wc.coefficient("x")
             _require(wc == x.scale(c1) and not QQ.is_zero(c1),
                      "the w-coefficient of F1 is not a multiple of x",
                      CertificateError)
-            a = divexact(xpart, x)
-            img = (w + a).scale(QQ.inv(-c1))
-            apply({"w": img}, {"w": w.scale(-c1) - a},
+            apply({"w": (w + divexact(xpart, x)).scale(QQ.inv(-c1))},
                   "absorb the x-divisible part of F1 into w")
         else:
             break
@@ -351,21 +339,10 @@ def normal_form_X1214(F1, F2):
              CertificateError)
     _require(not QQ.is_zero(c2), "w*z coefficient vanished while normalizing",
              CertificateError)
-    ex = s4 * c2
-    ew = QQ.inv(c2)
-    apply(
-        {"x": x.scale(ex), "w": w.scale(ew)},
-        {"x": x.scale(QQ.inv(ex)), "w": w.scale(c2)},
-        "rescale x and w",
-    )
+    apply({"x": x.scale(s4 * c2), "w": w.scale(QQ.inv(c2))},
+          "rescale x and w")
     f1 = f1.scale(QQ.inv(s4))
-    m1 *= QQ.inv(s4)
-    steps.append("scale F1 so z^4 has coefficient 1")
-
-    change = ChangeOfCoordinates(amb, forward, inverse, (m1, m2),
-                                 tuple(steps))
-    _require(change.verify((F1, F2), (f1, f2)),
-             "the recorded coordinate chain fails its round trip")
+    steps.append(("scale F1 so z^4 has coefficient 1", {}))
 
     # read off the split shape; each step checks the structural claim
     # before trusting it
@@ -425,7 +402,7 @@ def normal_form_X1214(F1, F2):
                                            resultant=rval)
     return NormalFormX1214(
         spec=X_SPEC, F1=f1, F2=f2, S12=S12, a12=a12, lam=lam, b4=b4,
-        c12=c12, g14=g14, mu=mu, change=change, certificate=certificate,
+        c12=c12, g14=g14, mu=mu, steps=tuple(steps), certificate=certificate,
     )
 
 

@@ -788,6 +788,13 @@ def _poly(ambient, terms):
 # term   := factor ('*' factor)*
 # factor := base ('^' uint)?
 # base   := uint | uint '/' uint | var | '(' expr ')'
+#
+# A document bounds the work it asks for: the parser refuses an exponent
+# above _MAX_EXPONENT, and a product or power that can reach more than
+# _MAX_TERMS terms, before it expands anything.
+
+_MAX_EXPONENT = 100
+_MAX_TERMS = 500
 
 
 class _Tokenizer:
@@ -871,12 +878,13 @@ class _Parser:
     def _term(self):
         p = self._factor()
         while True:
-            kind, _, _ = self.toks.peek()
-            if kind == "*":
-                self.toks.next()
-                p = p * self._factor()
-            else:
+            kind, _, pos = self.toks.peek()
+            if kind != "*":
                 return p
+            self.toks.next()
+            q = self._factor()
+            _bound_terms(len(p.items()) * len(q.items()), "product", pos)
+            p = p * q
 
     def _factor(self):
         p = self._base()
@@ -886,7 +894,14 @@ class _Parser:
             kind, val, pos = self.toks.next()
             if kind != "INT":
                 raise ValueError(f"expected integer exponent at position {pos}")
-            p = p ** int(val)
+            n = int(val)
+            if n > _MAX_EXPONENT:
+                raise ValueError(f"exponent {n} at position {pos} is above"
+                                 f" the limit {_MAX_EXPONENT}")
+            k = len(p.items())
+            if n > 1 and k > 1:
+                _bound_terms(comb(n + k - 1, k - 1), "power", pos)
+            p = p ** n
         return p
 
     def _base(self):
@@ -911,6 +926,12 @@ class _Parser:
                 raise ValueError(f"expected ')' at position {cpos}")
             return p
         raise ValueError(f"unexpected token {val!r} at position {pos}")
+
+
+def _bound_terms(count, what, pos):
+    if count > _MAX_TERMS:
+        raise ValueError(f"the {what} at position {pos} can reach {count}"
+                         f" terms, above the limit {_MAX_TERMS}")
 
 
 def parse(text, ambient):

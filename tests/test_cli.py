@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -69,6 +70,29 @@ SPECIAL_DOC = {
     "member": "explicit",
     "equations": ["y^6 + y^4*t + t^3 + y*z*v + z^4 + x^12",
                   "w*z + v^2 + y^7 + x^14"],
+}
+
+
+# the first 16 hex digits of sha256(stdout), frozen: a change that must
+# keep the reports byte-identical keeps these
+FROZEN_REPORTS = {
+    "verify-7": (["verify-paper", "--seed", "7"], 0, "e5b8dc2a29408c8b"),
+    "verify-462-rejected": (
+        ["verify-paper", "--seed", "462", "--samples", "10"], 2,
+        "bdc0dbe03325d772"),
+    "classify-7": (["classify", "--random", "7", "--samples", "5"], 0,
+                   "4b10b5471419b97d"),
+    "link-7": (["link", "--random", "7", "--samples", "5"], 0,
+               "097a2b78487874c1"),
+    "qsmooth-member": (["qsmooth", "MEMBER", "--samples", "60"], 0,
+                       "27bf3259f40507e4"),
+    "qsmooth-member-parallel": (
+        ["qsmooth", "MEMBER", "--samples", "60", "--parallel", "2"], 0,
+        "27bf3259f40507e4"),
+    "classify-lam0": (["classify", "LAM0", "--samples", "5"], 0,
+                      "8eb647086789df86"),
+    "verify-lam0": (["verify-paper", "LAM0", "--samples", "5"], 0,
+                    "82b4d8d033f6f62e"),
 }
 
 
@@ -160,6 +184,10 @@ class TestInputValidation:
         lambda d: dict(d, field={"Fp": 2}),
         lambda d: dict(d, field={"Fp": 9}),
         lambda d: dict(d, field={"Fp": 13}),  # below the degree 14
+        # the parser refuses before it expands: too many terms, too
+        # large an exponent
+        lambda d: dict(d, equations=["(x+2*y)^3000", MAIN_F2]),
+        lambda d: dict(d, equations=["2^100000000", MAIN_F2]),
     ])
     def test_rejected_documents(self, mangle):
         with pytest.raises(CliError):
@@ -381,24 +409,9 @@ class TestDeterminism:
                           "--parallel", "2"], capsys)
         assert serial == fanned
 
-    # the first 16 hex digits of sha256(stdout), frozen: a change that
-    # must keep the reports byte-identical keeps these
-    @pytest.mark.parametrize("argv, code, digest", [
-        (["verify-paper", "--seed", "7"], 0, "e5b8dc2a29408c8b"),
-        (["verify-paper", "--seed", "462", "--samples", "10"], 2,
-         "bdc0dbe03325d772"),
-        (["classify", "--random", "7", "--samples", "5"], 0,
-         "4b10b5471419b97d"),
-        (["link", "--random", "7", "--samples", "5"], 0,
-         "097a2b78487874c1"),
-        (["qsmooth", "MEMBER", "--samples", "60"], 0, "27bf3259f40507e4"),
-        (["qsmooth", "MEMBER", "--samples", "60", "--parallel", "2"], 0,
-         "27bf3259f40507e4"),
-        (["classify", "LAM0", "--samples", "5"], 0, "8eb647086789df86"),
-        (["verify-paper", "LAM0", "--samples", "5"], 0, "82b4d8d033f6f62e"),
-    ], ids=["verify-7", "verify-462-rejected", "classify-7", "link-7",
-            "qsmooth-member", "qsmooth-member-parallel", "classify-lam0",
-            "verify-lam0"])
+    @pytest.mark.parametrize("argv, code, digest",
+                             list(FROZEN_REPORTS.values()),
+                             ids=list(FROZEN_REPORTS))
     def test_frozen_report_bytes(self, argv, code, digest, member_path,
                                  lam0_path, capsys):
         paths = {"MEMBER": member_path, "LAM0": lam0_path}
@@ -406,6 +419,25 @@ class TestDeterminism:
         got, out, err = run_cli(argv, capsys)
         assert got == code, err
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("minor", [m for m in (10, 11, 12, 13)
+                                       if m != sys.version_info.minor])
+    def test_frozen_report_bytes_across_versions(self, minor):
+        # the same bytes under every other CPython the package supports
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or subprocess.run(
+                [exe, "-c", f"import sys; sys.exit(sys.version_info[:2]"
+                            f" != (3, {minor}))"],
+                capture_output=True, timeout=60).returncode != 0:
+            pytest.skip(f"no working python3.{minor} on PATH")
+        src = os.path.dirname(os.path.dirname(wcilinks.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for name in ("verify-7", "verify-462-rejected", "link-7"):
+            argv, code, digest = FROZEN_REPORTS[name]
+            done = subprocess.run([exe, "-m", "wcilinks.cli", *argv],
+                                  env=env, capture_output=True, timeout=120)
+            assert done.returncode == code, done.stderr
+            assert hashlib.sha256(done.stdout).hexdigest()[:16] == digest
 
 
 class TestExitCodes:
@@ -469,13 +501,17 @@ class TestExitCodes:
         ["link", "--random", "7", "--samples", "-2"],
         ["qsmooth", "--random", "7", "--samples", "0"],
         ["verify-paper", "--seed", "7", "--samples", "0"],
+        # so must a trial count
+        ["classify", "--random", "7", "--trials", "-3"],
+        ["verify-paper", "--seed", "7", "--trials", "0"],
         # the center's weight fixes the quotient order of the chart
         ["blowup", "--random", "7", "--center", "w",
          "--weights", "x=6,y=1,z=7,t=2,v=9", "--den", "11"],
     ], ids=["format-yaml", "analyze-parallel", "two-ray-seed",
             "verify-paper-parallel", "classify-samples-negative",
             "link-samples-negative", "qsmooth-samples-zero",
-            "verify-paper-samples-zero", "blowup-den"])
+            "verify-paper-samples-zero", "classify-trials-negative",
+            "verify-paper-trials-zero", "blowup-den"])
     def test_invalid_flag_value(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from wcilinks import links, qpoly
 from wcilinks.ambient import ConeZ2, DivisorClass
@@ -65,6 +66,32 @@ def lam0_member(amb):
     return f1, amb.parse(MAIN_F2)
 
 
+@pytest.fixture(scope="module")
+def scrambled_member(nf, amb):
+    # the normal form pushed through a messy coordinate change of the kind
+    # the normalization removes (shears plus x- and w-scalings)
+    x, y, z, t, v, w = (amb.var(n) for n in amb.names)
+    fwd = {
+        "v": v + (x * y * t).scale(Fraction(2, 5)),
+        "z": z - x**3 + (y * x).scale(Fraction(7)),
+        "w": w.scale(Fraction(-2, 3)) + x**11 - z**2 * t * x,
+        "x": x.scale(Fraction(5)),
+    }
+    return substitute(nf.F1, fwd, amb), substitute(nf.F2, fwd, amb)
+
+
+def _sympy(f, ring):
+    """f as an element of a sympy polynomial ring over QQ."""
+    return ring.from_dict({m: sympy.QQ(c.numerator, c.denominator)
+                           for m, c in f.items()})
+
+
+def _proportional(p, q):
+    """Whether p = k*q for a nonzero rational k."""
+    k = p.LC / q.LC
+    return k != 0 and p == q.mul_ground(k)
+
+
 # ---------------------------------------------------------------------------
 # normal form
 
@@ -81,24 +108,40 @@ class TestNormalForm:
         assert nf.certificate.resultant == -5
         assert nf.certificate.ok
 
-    def test_round_trip_is_recorded(self, nf, main_member):
-        F1, F2 = main_member
-        assert nf.change.verify((F1, F2), (nf.F1, nf.F2))
+    def test_round_trip_is_recorded(self, amb, main_member, lam0_member,
+                                    scrambled_member):
+        # sympy, outside the kernel, composes the recorded steps into the
+        # forward chain and, from n -> (n - h)/c, the inverse chain; each
+        # carries one pair of equations to a multiple of the other, and
+        # inverse after forward is the identity on the generators
+        ring, *gens = sympy.ring(",".join(amb.names), sympy.QQ)
+        members = [main_member, lam0_member, scrambled_member]
+        members += [random_member(seed) for seed in range(1, 7)]
+        for F1, F2 in members:
+            out = normal_form_X1214(F1, F2)
+            forward, inverse = list(gens), list(gens)
+            for _, mapping in out.steps:
+                step, undo = [], dict(zip(gens, gens))
+                for name, img in mapping.items():
+                    n, img = gens[amb.index(name)], _sympy(img, ring)
+                    c = img.coeff(n)
+                    step.append((n, img))
+                    undo[n] = (n - (img - n * c)).quo_ground(c)
+                forward = [f.compose(step) for f in forward]
+                inverse = [undo[g].compose(list(zip(gens, inverse)))
+                           for g in gens]
+            for old, new in ((F1, out.F1), (F2, out.F2)):
+                old, new = _sympy(old, ring), _sympy(new, ring)
+                assert _proportional(old.compose(list(zip(gens, forward))),
+                                     new)
+                assert _proportional(new.compose(list(zip(gens, inverse))),
+                                     old)
+            back = [f.compose(list(zip(gens, inverse))) for f in forward]
+            assert back == gens
 
-    def test_scrambled_member_normalizes_back(self, nf, amb):
-        # push the normal form through a messy coordinate change of the
-        # kind the normalization removes (shears plus x- and w-scalings)
-        # and check that renormalizing recovers the same split data
-        x, y, z, t, v, w = (amb.var(n) for n in amb.names)
-        fwd = {
-            "v": v + (x * y * t).scale(Fraction(2, 5)),
-            "z": z - x**3 + (y * x).scale(Fraction(7)),
-            "w": w.scale(Fraction(-2, 3)) + x**11 - z**2 * t * x,
-            "x": x.scale(Fraction(5)),
-        }
-        G1 = substitute(nf.F1, fwd, amb)
-        G2 = substitute(nf.F2, fwd, amb)
-        back = normal_form_X1214(G1, G2)
+    def test_scrambled_member_normalizes_back(self, nf, scrambled_member):
+        # renormalizing the scrambled member recovers the same split data
+        back = normal_form_X1214(*scrambled_member)
         assert back.a12 == nf.a12
         assert back.b4 == nf.b4
         assert back.c12 == nf.c12
@@ -149,6 +192,26 @@ class TestNormalForm:
         f2 = amb.parse("w*z + v^2 + y*(t + y^2)^3 + x^14")
         with pytest.raises(CertificateError):
             normal_form_X1214(f1, f2)
+
+    @pytest.mark.parametrize("mapping, refusal", [
+        ({"x": "0*x"}, "scales x by zero"),
+        ({"z": "z + x*y", "x": "2*x"}, "shift of z involves"),
+        ({"v": "v + x"}, "image of v is not quasi-homogeneous of weight 7"),
+        ({"v": "v + 2/5*x*y*t - y*z*x^2"}, None),
+        ({"z": "z - x^3 + 7*x*y"}, None),
+        ({"w": "-2/3*w + x^11 - z^2*t*x + v*y*x^2"}, None),
+        ({"x": "5*x", "w": "1/3*w"}, None),
+    ], ids=["zero-scale", "shift-moves", "wrong-weight", "v-square",
+            "z-recenter", "w-absorb", "xw-rescale"])
+    def test_step_is_a_graded_automorphism(self, amb, mapping, refusal):
+        # each coordinate step is checked as it is applied: a refusal is
+        # an internal inconsistency (exit 3)
+        mapping = {n: amb.parse(img) for n, img in mapping.items()}
+        if refusal is None:
+            links._require_graded_automorphism(mapping)
+        else:
+            with pytest.raises(InconsistencyError, match=refusal):
+                links._require_graded_automorphism(mapping)
 
 
 # ---------------------------------------------------------------------------
