@@ -93,6 +93,18 @@ FROZEN_REPORTS = {
                       "8eb647086789df86"),
     "verify-lam0": (["verify-paper", "LAM0", "--samples", "5"], 0,
                     "82b4d8d033f6f62e"),
+    "blowup-cond": (["blowup", "COND", "--center", "x",
+                     "--weights", "y=4,z=1,t=2,w=1"], 0,
+                    "b3e8ce31e03affb2"),
+    "blowup-member": (["blowup", "MEMBER", "--center", "w",
+                       "--weights", "x=6,y=1,z=7,t=2,v=9"], 0,
+                      "dc8f11579bf24ef6"),
+    "two-ray-cond": (["two-ray", "COND", "--center", "x",
+                      "--weights", "y=4,z=1,t=2,w=1"], 0,
+                     "14a841cd6648b2dd"),
+    "two-ray-member": (["two-ray", "MEMBER", "--center", "w",
+                        "--weights", "x=6,y=1,z=7,t=2,v=9"], 0,
+                       "faf63046c6612060"),
 }
 
 
@@ -413,8 +425,9 @@ class TestDeterminism:
                              list(FROZEN_REPORTS.values()),
                              ids=list(FROZEN_REPORTS))
     def test_frozen_report_bytes(self, argv, code, digest, member_path,
-                                 lam0_path, capsys):
-        paths = {"MEMBER": member_path, "LAM0": lam0_path}
+                                 lam0_path, cond_path, capsys):
+        paths = {"MEMBER": member_path, "LAM0": lam0_path,
+                 "COND": cond_path}
         argv = [paths.get(a, a) for a in argv]
         got, out, err = run_cli(argv, capsys)
         assert got == code, err
