@@ -13,7 +13,8 @@ records the whole trace.
 cone_calculus then restricts equations to the wall loci, tries to certify
 those loci empty on the variety (in which case the wall crossing is an
 isomorphism), and assembles nef cones, the mobile cone, and the
-anticanonical class.
+anticanonical class.  blowup_game runs the whole chain for one weighted
+blowup of a coordinate point.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "WPS",
     "analyze_ambient",
     "blowup_ambient",
+    "blowup_game",
     "blowup_weight_vector",
     "cone_calculus",
     "run_two_ray_game",
@@ -940,3 +942,20 @@ def cone_calculus(trace, equations):
         mov=mov,
         wall_reports=tuple(wall_reports),
     )
+
+
+def blowup_game(wps, equations, center, weights):
+    """The two-ray game of a weighted blowup of a coordinate point.
+
+    Builds the toric ambient of the blowup, runs its game, transports
+    the equations and certifies the walls, in that order.  Returns
+    (trace, transported, cones); the toric ambient is trace.toric, and
+    without equations transported is () and cones is None.
+    """
+    trace = run_two_ray_game(blowup_ambient(wps, center, weights))
+    if not equations:
+        return trace, (), None
+    transported = tuple(
+        transport_equation(f, wps, center, weights, trace.toric)
+        for f in equations)
+    return trace, transported, cone_calculus(trace, transported)

@@ -17,19 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 from itertools import islice
 
-from .ambient import (
-    WPS,
-    analyze_ambient,
-    blowup_ambient,
-    cone_calculus,
-    run_two_ray_game,
-    transport_equation,
-)
+from .ambient import WPS, analyze_ambient, blowup_game
 from .links import (
     CITATIONS,
     CertificateError,
@@ -43,12 +37,8 @@ from .links import (
     link_stages,
     random_member,
 )
-from .qpoly import Ambient, DEFAULT_PRIME, GF, QQ, WeightVector, substitute
-from .singular import (
-    Germ,
-    classify_quotient_singularity,
-    discrepancy_chart_oracle,
-)
+from .qpoly import DEFAULT_PRIME, GF, QQ
+from .singular import blowup_at_point, classify_quotient_singularity
 
 __all__ = ["build_parser", "emit", "load_input", "main"]
 
@@ -61,6 +51,11 @@ class CliError(ValueError):
 
 # ---------------------------------------------------------------------------
 # input documents
+
+
+def _is_int(value):
+    """A JSON integer: Python's bool is an int, but true is no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class InputSpec:
@@ -85,7 +80,7 @@ def load_input(document):
     weights = amb_doc.get("weights")
     names = amb_doc.get("vars")
     if (not isinstance(weights, list) or not weights
-            or not all(isinstance(w, int) and w > 0 for w in weights)):
+            or not all(_is_int(w) and w > 0 for w in weights)):
         raise CliError("ambient.weights must be positive integers")
     if (not isinstance(names, list) or len(names) != len(weights)
             or not all(isinstance(n, str) and n for n in names)
@@ -105,13 +100,13 @@ def load_input(document):
         raise CliError('field must be "Q" or {"Fp": prime}')
 
     seed = document.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise CliError("seed must be an integer")
 
     degrees = document.get("degrees")
     if degrees is not None:
         if (not isinstance(degrees, list)
-                or not all(isinstance(d, int) and d > 0 for d in degrees)):
+                or not all(_is_int(d) and d > 0 for d in degrees)):
             raise CliError("degrees must be positive integers")
         degrees = tuple(degrees)
     if field != QQ and field.p <= max(weights + list(degrees or ())):
@@ -336,7 +331,7 @@ def _batches(total, seed):
 
 
 def _run_batches(worker, payloads, jobs):
-    if jobs and jobs > 1:
+    if jobs > 1:
         # imported here: only qsmooth --parallel pays for it
         import concurrent.futures
 
@@ -407,7 +402,8 @@ def cmd_qsmooth(args):
               "non_quasismooth": bad}]
 
     batches = list(_batches(args.samples, args.seed))
-    jobs = min(max(args.parallel, 1), len(batches))
+    # the pool starts every worker at once: no more than the CPUs
+    jobs = min(args.parallel, len(batches), os.cpu_count() or 1)
     payloads = [(spec.equations, spec.wps, spec.field, batches[k::jobs])
                 for k in range(jobs)]
     results = _run_batches(_qsmooth_batches, payloads, jobs)
@@ -443,38 +439,30 @@ def _parse_weight_flags(args, spec):
             weights[key] = int(val)
         except ValueError as exc:
             raise CliError(f"bad blowup weight value {val!r}") from exc
-    rest = [n for n in spec.wps.names if n != args.center]
-    missing = [n for n in rest if n not in weights]
+    missing = [n for n in spec.wps.names
+               if n != args.center and n not in weights]
     if missing:
         raise CliError(f"missing blowup weights for {missing}")
-    return weights, rest
+    return weights
 
 
 def cmd_blowup(args):
     spec = _spec_from_args(args, need_equations=True)
-    weights, rest = _parse_weight_flags(args, spec)
-    # the chart of a coordinate point of weight r is a 1/r quotient germ
-    den = spec.wps.weight(args.center)
-    amb = spec.wps.ambient()
-    chart_amb = Ambient(tuple(rest))
-    one = amb.one()
-    eqs = tuple(substitute(f, {args.center: one}, amb).rename(chart_amb)
-                for f in spec.equations)
-    residues = tuple(spec.wps.weight(n) % den for n in rest)
-    germ = Germ(chart_amb, eqs, den, residues)
-    b = WeightVector(tuple(weights[n] for n in rest), den)
-    record, charts, agree = discrepancy_chart_oracle(germ, b)
+    weights = _parse_weight_flags(args, spec)
+    record, charts, agree = blowup_at_point(spec.wps, spec.equations,
+                                            args.center, weights)
     step = {"name": "blowup", "center": args.center,
-            "quotient_order": den}
+            "quotient_order": record.germ.r}
     step.update(_record_step(record, charts, agree))
     return build_report("blowup", [step]), 0
 
 
 def cmd_two_ray(args):
     spec = _spec_from_args(args)
-    weights, _ = _parse_weight_flags(args, spec)
-    toric = blowup_ambient(spec.wps, args.center, weights)
-    trace = run_two_ray_game(toric)
+    weights = _parse_weight_flags(args, spec)
+    trace, _, cones = blowup_game(spec.wps, spec.equations, args.center,
+                                  weights)
+    toric = trace.toric
     steps = [{
         "name": "toric",
         "vars": list(toric.names),
@@ -483,11 +471,7 @@ def cmd_two_ray(args):
     game = {"name": "game"}
     game.update(_trace_step(trace))
     steps.append(game)
-    if spec.equations:
-        transported = tuple(
-            transport_equation(f, spec.wps, args.center, weights, toric)
-            for f in spec.equations)
-        cones = cone_calculus(trace, transported)
+    if cones is not None:
         cone_step = {"name": "cones"}
         cone_step.update(_cones_step(cones))
         steps.append(cone_step)
@@ -762,8 +746,10 @@ def build_parser():
                                " evidence")
     _add_common(sub)
     _add_sampling(sub)
-    sub.add_argument("--parallel", type=int, default=0, metavar="N",
-                     help="fan sampled batches over N worker processes")
+    sub.add_argument("--parallel", type=_positive_int, default=1,
+                     metavar="N",
+                     help="fan sampled batches over N worker processes,"
+                          " at most one per CPU (default 1)")
     sub.set_defaults(func=cmd_qsmooth)
 
     sub = subs.add_parser("blowup",

@@ -45,10 +45,8 @@ from .ambient import (
     DivisorClass,
     WCISpec,
     WPS,
-    blowup_ambient,
-    cone_calculus,
-    run_two_ray_game,
-    transport_equation,
+    blowup_game,
+    blowup_weight_vector,
 )
 from .qpoly import (
     Ambient,
@@ -69,11 +67,10 @@ from .qpoly import (
     substitute,
 )
 from .singular import (
-    Germ,
     InconsistencyError,
     analyze_cE6_germ,
+    blowup_at_point,
     classify_quotient_singularity,
-    discrepancy_chart_oracle,
     quadratic_involution_test,
     quasismooth_on_stratum,
 )
@@ -221,7 +218,7 @@ class NormalFormX1214:
 
 
 # weights of the extraction over the 1/11 point, used to grade g14
-_BW = WeightVector((6, 1, 7, 2, 9, 0), 11)
+_BW = blowup_weight_vector(X_WPS, "w", KAWAMATA_WEIGHTS)
 # weight one on x and z: order at least two is membership in (x, z)^2
 _XZ = WeightVector((1, 0, 1, 0, 0, 0))
 _WV = X_WPS.weight_vector()
@@ -649,7 +646,6 @@ class LinkReport:
 class SigmaLink:
     """The elementary link from the 1/11 point, fully certified."""
 
-    toric: object
     transported: tuple
     trace: object
     cones: object
@@ -671,29 +667,19 @@ def construct_link_sigma(nf):
     exactly and cross-checked against affine chart identities.
     """
     amb = nf.F1.ambient
-    toric = blowup_ambient(X_WPS, "w", KAWAMATA_WEIGHTS)
-    t1 = transport_equation(nf.F1, X_WPS, "w", KAWAMATA_WEIGHTS, toric)
-    t2 = transport_equation(nf.F2, X_WPS, "w", KAWAMATA_WEIGHTS, toric)
-    _require(toric.bidegree(t1) == DivisorClass(12, 6),
-             "unexpected bidegree for the transported F1")
-    _require(toric.bidegree(t2) == DivisorClass(14, 7),
-             "unexpected bidegree for the transported F2")
-
     # discrepancy record of the extraction, cross-checked chartwise
-    amb5 = Ambient(("x", "y", "z", "t", "v"))
-    germ_eqs = tuple(
-        substitute(f, {"w": amb.one()}, amb).rename(amb5)
-        for f in (nf.F1, nf.F2))
-    germ = Germ(amb5, germ_eqs, 11, (1, 2, 3, 4, 7))
-    bvec = WeightVector((6, 1, 7, 2, 9), 11)
-    record, charts, agree = discrepancy_chart_oracle(germ, bvec)
+    record, _, agree = blowup_at_point(
+        X_WPS, (nf.F1, nf.F2), "w", KAWAMATA_WEIGHTS)
     _require(agree, "chart orders disagree with the weight filtration")
     _require(record.orders == (Fraction(6, 11), Fraction(7, 11)),
              f"unexpected extraction orders {record.orders}")
     _require(record.discrepancy == Fraction(1, 11),
              f"unexpected extraction discrepancy {record.discrepancy}")
 
-    trace = run_two_ray_game(toric)
+    trace, (t1, t2), cones = blowup_game(
+        X_WPS, (nf.F1, nf.F2), "w", KAWAMATA_WEIGHTS)
+    _require(cones.bidegrees == (DivisorClass(12, 6), DivisorClass(14, 7)),
+             "unexpected bidegrees for the transported F1 and F2")
     _require(trace.nmodels == 3, "expected a trace of three models")
     _require(tuple(wc.wall_vars for wc in trace.walls) == (("y", "t"), ("v",)),
              "unexpected wall pattern in the two-ray game",
@@ -706,8 +692,6 @@ def construct_link_sigma(nf):
              and trace.entry.contracted == "u",
              "the game does not start by contracting the exceptional"
              " divisor")
-
-    cones = cone_calculus(trace, (t1, t2))
     _require(cones.wall_reports[0].isomorphism,
              "the member meets the first wall locus (v = z = x = 0);"
              " its small modification is not an isomorphism there",
@@ -792,7 +776,7 @@ def construct_link_sigma(nf):
         trace=trace,
         cones=cones,
     )
-    return SigmaLink(toric=toric, transported=(t1, t2), trace=trace,
+    return SigmaLink(transported=(t1, t2), trace=trace,
                      cones=cones, extraction=record, hat=hat, sigma=sigma,
                      sigma_inverse=sigma_inverse, report=report)
 
@@ -921,6 +905,11 @@ class ConditionReport:
 
 _COND_WPS = WPS((1, 1, 1, 2, 3), ("y", "z", "x", "t", "w"))
 
+# the two discrepancy-one blowups of qhat, the x-coordinate point of
+# _COND_WPS; the second weights the re-embedding coordinate s too
+_WEIGHTS1 = {"y": 4, "z": 1, "t": 2, "w": 1}
+_WEIGHTS2 = {"y": 2, "z": 1, "t": 2, "w": 1, "s": 4}
+
 # admissible weight-6 monomials of the first filtration: beta*y*w^2,
 # gamma*x^2*y*z*w, x^4*y*g2(z^2, t) and x*g6(z^2, t)
 _W1_SLOTS = frozenset(
@@ -947,8 +936,8 @@ def condition_check(hat, trials=20):
         camb, {"u": "y", "y": "z", "z": "x", "t": "t", "v": "w"})
     field = camb.field
     yv, zv, xv, tv, wv = (camb.var(n) for n in _COND_WPS.names)
-    w1 = WeightVector((4, 1, 0, 2, 1), 1)
-    w2 = WeightVector((2, 1, 0, 2, 1), 1)
+    w1 = blowup_weight_vector(_COND_WPS, "x", _WEIGHTS1)
+    w2 = blowup_weight_vector(_COND_WPS, "x", _WEIGHTS2)
 
     gates = {}
     strict = {}
@@ -996,19 +985,47 @@ def condition_check(hat, trials=20):
 # exclusion games at qhat
 
 
-def _not_sarkisov_report(name, center, rec, trace, cones, exceptional,
-                         notes=()):
-    vars_on_ray = cones.mov_boundary_ray_vars()
+def _not_a_link(center, rec, agree, cones, exceptional, notes):
+    """Certify that a discrepancy-one blowup at qhat starts no link.
+
+    The chart orders must agree, the discrepancy must be one, the game
+    must end by contracting the y-divisor, the movable cone must be
+    <(1,0), (1,1)> with -K = (1,1) on its boundary, and the exceptional
+    divisor must be certified irreducible.  The blowup is named by its
+    weights, for example (4,1,2,1).
+    """
+    label = str(rec.weights)
+    _require(agree, f"chart orders disagree for the {label} blowup")
+    _require(rec.discrepancy == 1,
+             f"unexpected discrepancy {rec.discrepancy} for the {label}"
+             " blowup")
+    end = cones.trace.end
+    _require(end.kind == "divisorial" and end.contracted == "y",
+             f"the {label} game does not end by contracting the"
+             " y-divisor")
+    _require(cones.mov == ConeZ2((1, 0), (1, 1)),
+             f"unexpected movable cone {cones.mov} for the {label} game")
+    _require(cones.anticanonical == DivisorClass(1, 1),
+             f"unexpected anticanonical class for the {label} game")
+    _require(cones.anticanonical_on_mov_boundary,
+             "the anticanonical class is not on the movable-cone"
+             f" boundary for the {label} game")
+    _require(exceptional.is_irreducible,
+             f"the exceptional divisor of the {label} blowup is not"
+             f" certified irreducible ({exceptional.kind})",
+             CertificateError)
     detail = (
         "the anticanonical class lies on the boundary of the movable"
-        f" cone, on the ray of the divisor class of {vars_on_ray};"
+        " cone, on the ray of the divisor class of"
+        f" {cones.mov_boundary_ray_vars()};"
         " the game never reaches an anticanonically positive second leg"
     )
     return LinkReport(
-        name=name, center=center,
+        name="blowup-" + "-".join(map(str, rec.weights.nums)),
+        center=center,
         verdict=Verdict(kind="NotSarkisov", detail=detail),
-        extraction=rec, trace=trace, cones=cones,
-        exceptional=exceptional, notes=tuple(notes),
+        extraction=rec, trace=cones.trace, cones=cones,
+        exceptional=exceptional, notes=notes,
     )
 
 
@@ -1033,45 +1050,18 @@ def run_exclusion_blowups(hat, condition=None, trials=20):
     field = camb.field
     center = "qhat, the compound E6 point of the degree-7 model"
 
-    # first blowup: weights (4,1,2,1) on (y, z, t, w) in the chart x = 1
-    amb1 = Ambient(("y", "z", "t", "w"), field)
-    chart1 = substitute(Fc, {"x": camb.one()}, camb).rename(amb1)
-    germ1 = Germ(amb1, (chart1,), 1, (0, 0, 0, 0))
-    b1 = WeightVector((4, 1, 2, 1), 1)
-    rec1, charts1, agree1 = discrepancy_chart_oracle(germ1, b1)
-    _require(agree1, "chart orders disagree for the (4,1,2,1) blowup")
-    _require(rec1.discrepancy == 1,
-             f"unexpected discrepancy {rec1.discrepancy} for the"
-             " (4,1,2,1) blowup")
+    # first blowup: directly, in the chart x = 1
+    rec1, _, agree1 = blowup_at_point(_COND_WPS, (Fc,), "x", _WEIGHTS1)
     exc1 = irreducibility_verdict(rec1.exceptional_equations[0],
                                   trials=trials)
-    weights1 = {"y": 4, "z": 1, "t": 2, "w": 1}
-    toric1 = blowup_ambient(_COND_WPS, "x", weights1)
-    te1 = transport_equation(Fc, _COND_WPS, "x", weights1, toric1)
-    _require(toric1.bidegree(te1) == DivisorClass(7, 6),
+    _, _, cones1 = blowup_game(_COND_WPS, (Fc,), "x", _WEIGHTS1)
+    _require(cones1.bidegrees == (DivisorClass(7, 6),),
              "unexpected bidegree for the (4,1,2,1) transport")
-    trace1 = run_two_ray_game(toric1)
-    _require(trace1.end.kind == "divisorial"
-             and trace1.end.contracted == "y",
-             "the (4,1,2,1) game does not end by contracting the"
-             " y-divisor")
-    cones1 = cone_calculus(trace1, (te1,))
-    _require(cones1.mov == ConeZ2((1, 0), (1, 1)),
-             f"unexpected movable cone {cones1.mov} for the (4,1,2,1)"
-             " game")
-    _require(cones1.anticanonical == DivisorClass(1, 1),
-             "unexpected anticanonical class for the (4,1,2,1) game")
-    _require(cones1.anticanonical_on_mov_boundary,
-             "the anticanonical class is not on the movable-cone"
-             " boundary for the (4,1,2,1) game")
-    _require(exc1.is_irreducible,
-             "the exceptional divisor of the (4,1,2,1) blowup is not"
-             f" certified irreducible ({exc1.kind})", CertificateError)
-    report1 = _not_sarkisov_report(
-        "blowup-4-1-2-1", center, rec1, trace1, cones1, exc1,
-        notes=("discrepancy one, exceptional divisor irreducible",))
+    report1 = _not_a_link(
+        center, rec1, agree1, cones1, exc1,
+        ("discrepancy one, exceptional divisor irreducible",))
 
-    # second blowup: weights (2,1,2,1,4) after re-embedding by s = h
+    # second blowup: after re-embedding by s = h
     h = cond.h
     yv = camb.var("y")
     G = Fc - yv * h
@@ -1087,19 +1077,9 @@ def run_exclusion_blowups(hat, condition=None, trials=20):
              and F2e.quasi_homogeneous_degree(ewv) == 6,
              "the re-embedded pair does not have degrees (7, 6)")
 
-    amb2 = Ambient(("y", "z", "t", "w", "s"), field)
-    chart2 = tuple(
-        substitute(f, {"x": eamb.one()}, eamb).rename(amb2)
-        for f in (F1e, F2e))
-    germ2 = Germ(amb2, chart2, 1, (0, 0, 0, 0, 0))
-    b2 = WeightVector((2, 1, 2, 1, 4), 1)
-    rec2, charts2, agree2 = discrepancy_chart_oracle(germ2, b2)
-    _require(agree2, "chart orders disagree for the (2,1,2,1,4) blowup")
+    rec2, _, agree2 = blowup_at_point(ext_wps, (F1e, F2e), "x", _WEIGHTS2)
     _require(rec2.orders == (Fraction(6), Fraction(2)),
              f"unexpected blowup orders {rec2.orders} for the"
-             " (2,1,2,1,4) blowup")
-    _require(rec2.discrepancy == 1,
-             f"unexpected discrepancy {rec2.discrepancy} for the"
              " (2,1,2,1,4) blowup")
 
     # exceptional model: eliminate y from the second lowest-weight
@@ -1111,48 +1091,26 @@ def run_exclusion_blowups(hat, condition=None, trials=20):
              "cannot eliminate y from the exceptional equations")
     yimg = low2.coefficient_of_power("y", 0).scale(
         field.neg(field.inv(ycoeff.constant_coefficient())))
-    e_model = substitute(low1, {"y": yimg}, amb2)
+    e_model = substitute(low1, {"y": yimg}, low1.ambient)
     _require("y" not in e_model.variables(),
              "the exceptional model still involves y")
     exc2 = irreducibility_verdict(e_model, trials=trials)
 
-    weights2 = {"y": 2, "z": 1, "t": 2, "w": 1, "s": 4}
-    toric2 = blowup_ambient(ext_wps, "x", weights2)
-    te21 = transport_equation(F1e, ext_wps, "x", weights2, toric2)
-    te22 = transport_equation(F2e, ext_wps, "x", weights2, toric2)
-    _require(toric2.bidegree(te21) == DivisorClass(7, 6)
-             and toric2.bidegree(te22) == DivisorClass(6, 2),
+    trace2, _, cones2 = blowup_game(ext_wps, (F1e, F2e), "x", _WEIGHTS2)
+    _require(cones2.bidegrees == (DivisorClass(7, 6), DivisorClass(6, 2)),
              "unexpected bidegrees for the (2,1,2,1,4) transport")
-    trace2 = run_two_ray_game(toric2)
     _require(tuple(wc.wall_vars for wc in trace2.walls) == (("w",), ("s",)),
              "unexpected wall pattern in the (2,1,2,1,4) game")
-    _require(trace2.end.kind == "divisorial"
-             and trace2.end.contracted == "y",
-             "the (2,1,2,1,4) game does not end by contracting the"
-             " y-divisor")
-    cones2 = cone_calculus(trace2, (te21, te22))
     _require(cones2.wall_reports[0].isomorphism,
              "the w-wall of the (2,1,2,1,4) game is not certified an"
              " isomorphism")
     _require(cones2.nef_cones[0] == ConeZ2((1, 0), (3, 2)),
              "unexpected nef cone after merging the w-wall")
-    _require(cones2.mov == ConeZ2((1, 0), (1, 1)),
-             f"unexpected movable cone {cones2.mov} for the (2,1,2,1,4)"
-             " game")
-    _require(cones2.anticanonical == DivisorClass(1, 1),
-             "unexpected anticanonical class for the (2,1,2,1,4) game")
-    _require(cones2.anticanonical_on_mov_boundary,
-             "the anticanonical class is not on the movable-cone"
-             " boundary for the (2,1,2,1,4) game")
-    _require(exc2.is_irreducible,
-             "the exceptional divisor of the (2,1,2,1,4) blowup is not"
-             f" certified irreducible ({exc2.kind})", CertificateError)
-    report2 = _not_sarkisov_report(
-        "blowup-2-1-2-1-4", center, rec2, trace2, cones2, exc2,
-        notes=("re-embedded as a (7, 6) complete intersection in"
-               " P(1,1,1,2,3,6) before blowing up",
-               "discrepancy one, exceptional divisor irreducible"),
-    )
+    report2 = _not_a_link(
+        center, rec2, agree2, cones2, exc2,
+        ("re-embedded as a (7, 6) complete intersection in"
+         " P(1,1,1,2,3,6) before blowing up",
+         "discrepancy one, exceptional divisor irreducible"))
     return report1, report2
 
 

@@ -6,7 +6,8 @@ type by an exact Jacobian rank computation and coordinate elimination.
 weighted_blowup_discrepancy computes the discrepancy of a weighted blowup
 of a (quotient of a) complete intersection germ from the weighted orders
 of its equations, and discrepancy_chart_oracle re-derives the same orders
-by explicit chart substitutions, with cross-chart agreement checks.
+by explicit chart substitutions, with cross-chart agreement checks;
+blowup_at_point runs both on the chart germ of a coordinate point.
 
 Two germ analyzers build complete low-discrepancy tables: one for
 compound A-type double point quotients x*y + g(z, t) over Z/2, one for
@@ -48,6 +49,7 @@ __all__ = [
     "SingularityReport",
     "analyze_cA2_germ",
     "analyze_cE6_germ",
+    "blowup_at_point",
     "classify_quotient_singularity",
     "discrepancy_chart_oracle",
     "quadratic_involution_test",
@@ -381,6 +383,26 @@ def discrepancy_chart_oracle(germ, b):
         checks.append(ChartCheck(chart=name, orders=orders))
     agreement = all(c.orders == expected for c in checks)
     return record, tuple(checks), agreement
+
+
+def blowup_at_point(wps, equations, point, weights):
+    """Weighted blowup of a coordinate point, in the point's chart.
+
+    The chart point = 1 of wps is the quotient germ 1/r(a_i) at the
+    origin, with r the weight of the point and a_i the other weights mod
+    r.  weights maps each other coordinate to its blowup weight; the
+    blowup is their WeightVector over r.  Returns
+    discrepancy_chart_oracle's (record, charts, agreement).
+    """
+    amb = equations[0].ambient if equations else wps.ambient()
+    rest = tuple(n for n in wps.names if n != point)
+    chart = Ambient(rest, amb.field)
+    r = wps.weight(point)
+    eqs = tuple(substitute(f, {point: amb.one()}, amb).rename(chart)
+                for f in equations)
+    germ = Germ(chart, eqs, r, tuple(wps.weight(n) % r for n in rest))
+    return discrepancy_chart_oracle(
+        germ, WeightVector(tuple(weights[n] for n in rest), r))
 
 
 # ---------------------------------------------------------------------------

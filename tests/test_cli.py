@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -200,6 +201,12 @@ class TestInputValidation:
         # large an exponent
         lambda d: dict(d, equations=["(x+2*y)^3000", MAIN_F2]),
         lambda d: dict(d, equations=["2^100000000", MAIN_F2]),
+        # a JSON boolean is no integer, though Python's bool is an int
+        lambda d: dict(d, member="random",
+                       ambient=dict(d["ambient"],
+                                    weights=[True, 2, 3, 4, 7, 11])),
+        lambda d: dict(d, member="random", seed=True),
+        lambda d: dict(d, degrees=[True, 14]),
     ])
     def test_rejected_documents(self, mangle):
         with pytest.raises(CliError):
@@ -272,6 +279,37 @@ class TestQsmooth:
         report = run_json(["qsmooth", member_path, "--samples", "60"], capsys)
         assert step(report, "sampled")["quasismooth_samples"] == 60
         assert calls == [2]
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
+    def test_parallel_is_capped_at_the_cpu_count(self, member_path, capsys,
+                                                 monkeypatch, cpus, pools):
+        # the pool starts all its workers at once, so --parallel 1000
+        # asks for one per CPU at most; the fake pool starts no process
+        import concurrent.futures
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        argv = ["qsmooth", member_path, "--samples", "200"]
+        serial = run_cli(argv, capsys)
+        fanned = run_cli(argv + ["--parallel", "1000"], capsys)
+        assert started == pools
+        assert fanned == serial
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(HAT_DOC)))
@@ -433,6 +471,45 @@ class TestDeterminism:
         assert got == code, err
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
+    def test_frozen_reports_ignore_term_order(self, member_path, lam0_path,
+                                              cond_path, capsys,
+                                              monkeypatch):
+        # term order is no part of the output: with every term dict of
+        # the kernel in a seeded random order, the frozen reports keep
+        # their bytes
+        rng = random.Random(14)
+        shuffled = []
+
+        def shuffle(terms):
+            items = list(terms.items())
+            rng.shuffle(items)
+            shuffled.append(len(items) > 1)
+            return dict(items)
+
+        poly = wcilinks.qpoly._poly
+        init = wcilinks.qpoly.QPolynomial.__init__
+
+        def shuffled_poly(ambient, terms):
+            return poly(ambient, shuffle(terms))
+
+        def shuffled_init(self, ambient, terms):
+            init(self, ambient, terms)
+            self.terms = shuffle(self.terms)
+
+        monkeypatch.setattr(wcilinks.qpoly, "_poly", shuffled_poly)
+        monkeypatch.setattr(wcilinks.qpoly.QPolynomial, "__init__",
+                            shuffled_init)
+        paths = {"MEMBER": member_path, "LAM0": lam0_path,
+                 "COND": cond_path}
+        for name, (argv, code, digest) in FROZEN_REPORTS.items():
+            if "--parallel" in argv:
+                continue
+            got, out, err = run_cli([paths.get(a, a) for a in argv], capsys)
+            assert got == code, (name, err)
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, (
+                name)
+        assert sum(shuffled) > 1000
+
     @pytest.mark.parametrize("minor", [m for m in (10, 11, 12, 13)
                                        if m != sys.version_info.minor])
     def test_frozen_report_bytes_across_versions(self, minor):
@@ -517,6 +594,8 @@ class TestExitCodes:
         # so must a trial count
         ["classify", "--random", "7", "--trials", "-3"],
         ["verify-paper", "--seed", "7", "--trials", "0"],
+        # and so must a process count
+        ["qsmooth", "--random", "7", "--parallel", "-2"],
         # the center's weight fixes the quotient order of the chart
         ["blowup", "--random", "7", "--center", "w",
          "--weights", "x=6,y=1,z=7,t=2,v=9", "--den", "11"],
@@ -524,7 +603,8 @@ class TestExitCodes:
             "verify-paper-parallel", "classify-samples-negative",
             "link-samples-negative", "qsmooth-samples-zero",
             "verify-paper-samples-zero", "classify-trials-negative",
-            "verify-paper-trials-zero", "blowup-den"])
+            "verify-paper-trials-zero", "qsmooth-parallel-negative",
+            "blowup-den"])
     def test_invalid_flag_value(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -81,8 +81,17 @@ def scrambled_member(nf, amb):
 
 
 def _sympy(f, ring):
-    """f as an element of a sympy polynomial ring over QQ."""
-    return ring.from_dict({m: sympy.QQ(c.numerator, c.denominator)
+    """f in a sympy polynomial ring over QQ, its variables matched by name."""
+    names = [str(g) for g in ring.gens]
+    slots = [names.index(n) for n in f.ambient.names]
+
+    def mono(m):
+        e = [0] * ring.ngens
+        for i, k in zip(slots, m):
+            e[i] = k
+        return tuple(e)
+
+    return ring.from_dict({mono(m): sympy.QQ(c.numerator, c.denominator)
                            for m, c in f.items()})
 
 
@@ -495,6 +504,42 @@ class TestInvolutions:
                                 samples=10, seed=3)
         assert not out.ok
         assert out.passed < 10
+
+    def test_identities_in_sympy(self, main_member, lam0_member):
+        # sympy, outside the kernel, re-checks what the link and the
+        # involutions certify with qpoly; hatX's u, y, z, t, v share one
+        # ring with X's x, ..., w, which compose substitutes at once
+        ring, x, *_, u = sympy.ring("x,y,z,t,v,w,u", sympy.QQ)
+        gens = dict(zip(map(str, ring.gens), ring.gens))
+
+        def mapping(names, images):
+            return [(gens[n], _sympy(e, ring)) for n, e in zip(names, images)]
+
+        members = [main_member, lam0_member]
+        members += [random_member(seed) for seed in range(1, 5)]
+        for F1, F2 in members:
+            nf = normal_form_X1214(F1, F2)
+            link = construct_link_sigma(nf)
+            f1, f2 = _sympy(nf.F1, ring), _sympy(nf.F2, ring)
+            fhat = _sympy(link.hat.F, ring)
+            sigma = mapping(HAT_WPS.names, link.sigma)
+            sigma_inv = mapping(X_WPS.names, link.sigma_inverse)
+            assert f1.compose(sigma_inv) == 0
+            assert f2.compose(sigma_inv) == u**7 * fhat
+            # fhat(sigma) = x^7*F2 + q*F1 for a polynomial q: one divisor
+            # is a Groebner basis, so a zero remainder is divisibility
+            _, rem = (fhat.compose(sigma) - x**7 * f2).div(f1)
+            assert rem == 0
+
+            data = build_involutions(nf, link)
+            chi = mapping(HAT_WPS.names, data.chi.images)
+            assert fhat.compose(chi) == fhat
+            assert [img.compose(chi) for _, img in chi] == [
+                gens[n] for n in HAT_WPS.names]
+            iota = mapping(X_WPS.names, data.iota)
+            m = data.scale_degree - 1
+            assert f1.compose(iota) == x**(12 * m) * f1
+            assert f2.compose(iota) == x**(14 * m) * f2
 
     def test_wrong_coupling_fails_exactly(self, nf, sigma):
         # a wrong coupling still satisfies the F1 equivariance (the
