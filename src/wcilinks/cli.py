@@ -136,15 +136,18 @@ def load_input(document):
             equations = tuple(amb.parse(e) for e in equations)
         except ValueError as exc:
             raise CliError(f"cannot parse equation: {exc}") from exc
+        wv = wps.weight_vector()
+        got = [f.quasi_homogeneous_degree(wv) for f in equations]
+        if None in got:
+            raise CliError("equation is not quasi-homogeneous for the"
+                           " ambient")
         if degrees is not None:
             if len(degrees) != len(equations):
                 raise CliError("degrees must match the equation count")
-            wv = wps.weight_vector()
-            for f, d in zip(equations, degrees):
-                got = f.quasi_homogeneous_degree(wv)
-                if got != d:
+            for g, d in zip(got, degrees):
+                if g != d:
                     raise CliError(
-                        f"equation of stated degree {d} has degree {got}")
+                        f"equation of stated degree {d} has degree {g}")
         equations = tuple(equations)
     return InputSpec(wps, equations, degrees, field, seed, member)
 
@@ -393,6 +396,8 @@ def cmd_analyze(args):
 
 def cmd_qsmooth(args):
     spec = _spec_from_args(args, need_equations=True)
+    if not spec.equations:
+        raise CliError("qsmooth needs at least one equation")
     points = [_point_step(classify_quotient_singularity(
                   spec.equations, spec.wps, n))
               for n in spec.wps.names]
@@ -521,8 +526,7 @@ def cmd_link(args):
 def cmd_classify(args):
     spec = _spec_from_args(args)
     F1, F2 = _standard_member(spec)
-    cls = classify_links(F1, F2, samples=args.samples,
-                         seed=args.seed, trials=args.trials,
+    cls = classify_links(F1, F2, samples=args.samples, seed=args.seed,
                          field=spec.field)
     steps = [{"name": "normal-form",
               "lambda": _rat(cls.normal_form.lam),
@@ -582,8 +586,7 @@ def cmd_verify_paper(args):
     code = 0
     try:
         for stage, art in link_stages(F1, F2, samples=args.samples,
-                                      seed=args.seed, trials=args.trials,
-                                      field=spec.field):
+                                      seed=args.seed, field=spec.field):
             if stage == "normal-form":
                 nf = art
                 check("normal-form", nf.certificate.ok,
@@ -720,12 +723,6 @@ def _add_sampling(sub, samples_default=100):
                           f" (default {samples_default})")
 
 
-def _add_trials(sub):
-    sub.add_argument("--trials", type=_positive_int, default=20,
-                     help="witness trials for irreducibility checks"
-                          " (default 20)")
-
-
 def build_parser():
     parser = _Parser(
         prog="wcilinks",
@@ -781,7 +778,6 @@ def build_parser():
                           help="the full elementary-link classification")
     _add_common(sub)
     _add_sampling(sub, samples_default=40)
-    _add_trials(sub)
     sub.set_defaults(func=cmd_classify)
 
     sub = subs.add_parser("verify-paper",
@@ -789,7 +785,6 @@ def build_parser():
                                " seeded member")
     _add_common(sub)
     _add_sampling(sub)
-    _add_trials(sub)
     sub.set_defaults(func=cmd_verify_paper)
 
     return parser

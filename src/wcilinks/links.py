@@ -858,6 +858,10 @@ def singularity_census_hatX(hat):
     _require(not failed,
              f"compound E6 gates failed at qhat: {failed}",
              CertificateError)
+    e_verdict = analysis.model_verdicts["E"]
+    _require(e_verdict.is_irreducible,
+             "the exceptional divisor E over qhat is not certified"
+             f" irreducible ({e_verdict.kind})", CertificateError)
     _require(analysis.parameters["lambda"] == hat.lam,
              "the germ coupling does not match the member's lam")
     expected = 4 if hat.lam != 0 else 3
@@ -918,7 +922,7 @@ _W1_SLOTS = frozenset(
 )
 
 
-def condition_check(hat, trials=20):
+def condition_check(hat):
     """Check the filtration condition of the model at qhat.
 
     Gates: qhat on the model; w1-order exactly six with the weight-six
@@ -955,7 +959,17 @@ def condition_check(hat, trials=20):
     gates["g6_nonzero"] = not g6.is_zero()
     mu = g6.coefficient((0, 0, 0, 3, 0))
     gates["mu_nonzero"] = not field.is_zero(mu)
-    verdict6 = irreducibility_verdict(F6, trials=trials)
+    # Every verdict of the pipeline is decided by a deterministic rule on a
+    # member past the normal form's gates.  F6, which is also the
+    # exceptional equation of the (4,1,2,1) blowup, is
+    # y*w^2 + gamma*x^2*y*z*w + x^4*y*g2 + x*g6: quadratic in w with
+    # coprime coefficients (the y*w^2 coefficient is the u*v^2 coefficient
+    # of the model, 1), and its discriminant has t-degree exactly 3, with
+    # t^3 coefficient -4*mu*x*y and mu != 0.  The exceptional model of the
+    # (2,1,2,1,4) blowup is linear in s.  The cE6 E-part at qhat is linear
+    # in t with coefficient lam*x*z when lam != 0, and for lam = 0 it is
+    # quadratic in x with a discriminant of y-degree 3.
+    verdict6 = irreducibility_verdict(F6)
     gates["w1_part_irreducible"] = verdict6.is_irreducible
 
     gates["w2_order_four"] = Fc.weight_of(w2) == 4
@@ -1029,7 +1043,7 @@ def _not_a_link(center, rec, agree, cones, exceptional, notes):
     )
 
 
-def run_exclusion_blowups(hat, condition=None, trials=20):
+def run_exclusion_blowups(hat, condition=None):
     """Certify the two exceptional weighted blowups at qhat.
 
     The (4,1,2,1) blowup runs directly; the (2,1,2,1,4) blowup needs the
@@ -1040,7 +1054,7 @@ def run_exclusion_blowups(hat, condition=None, trials=20):
     boundary of the movable cone, which rules the blowup out as the
     start of an elementary link.
     """
-    cond = condition or condition_check(hat, trials=trials)
+    cond = condition or condition_check(hat)
     if not cond.holds:
         failed = [k for k, ok in cond.gates.items() if not ok]
         raise CertificateError(
@@ -1052,8 +1066,7 @@ def run_exclusion_blowups(hat, condition=None, trials=20):
 
     # first blowup: directly, in the chart x = 1
     rec1, _, agree1 = blowup_at_point(_COND_WPS, (Fc,), "x", _WEIGHTS1)
-    exc1 = irreducibility_verdict(rec1.exceptional_equations[0],
-                                  trials=trials)
+    exc1 = irreducibility_verdict(rec1.exceptional_equations[0])
     _, _, cones1 = blowup_game(_COND_WPS, (Fc,), "x", _WEIGHTS1)
     _require(cones1.bidegrees == (DivisorClass(7, 6),),
              "unexpected bidegree for the (4,1,2,1) transport")
@@ -1094,7 +1107,7 @@ def run_exclusion_blowups(hat, condition=None, trials=20):
     e_model = substitute(low1, {"y": yimg}, low1.ambient)
     _require("y" not in e_model.variables(),
              "the exceptional model still involves y")
-    exc2 = irreducibility_verdict(e_model, trials=trials)
+    exc2 = irreducibility_verdict(e_model)
 
     trace2, _, cones2 = blowup_game(ext_wps, (F1e, F2e), "x", _WEIGHTS2)
     _require(cones2.bidegrees == (DivisorClass(7, 6), DivisorClass(6, 2)),
@@ -1444,7 +1457,7 @@ class LinkClassification:
     summary: str
 
 
-def link_stages(F1, F2, samples=40, seed=0, trials=20, field=None):
+def link_stages(F1, F2, samples=40, seed=0, field=None):
     """Run the pipeline on a degree-(12, 14) member, one stage at a time.
 
     Yields (name, artifact) as each stage completes, in this order:
@@ -1454,11 +1467,11 @@ def link_stages(F1, F2, samples=40, seed=0, trials=20, field=None):
     LinkClassification.  A consumer that stops early skips the later
     stages; a stage that fails raises, so the stages seen before it are
     the ones that passed.  seed drives the sampled checks over field,
-    by default F_(2^31-1), and trials drives the witness searches.  One
-    sampler draws samples points on X, each once: the census of X checks
-    that X is quasismooth at the first min(samples, CENSUS_SAMPLES) of
-    them, and the involution check that the birational involution maps
-    every one of them to X and is its own inverse there.
+    by default F_(2^31-1).  One sampler draws samples points on X, each
+    once: the census of X checks that X is quasismooth at the first
+    min(samples, CENSUS_SAMPLES) of them, and the involution check that
+    the birational involution maps every one of them to X and is its own
+    inverse there.
 
     Exactly one elementary link leaves X (from the 1/11 point, to the
     degree-7 model); on the model, the qhat germ carries one link back
@@ -1478,9 +1491,9 @@ def link_stages(F1, F2, samples=40, seed=0, trials=20, field=None):
     hat = sigma.hat
     hat_census = singularity_census_hatX(hat)
     yield "hat-census", hat_census
-    condition = condition_check(hat, trials=trials)
+    condition = condition_check(hat)
     yield "condition", condition
-    exclusions = run_exclusion_blowups(hat, condition, trials=trials)
+    exclusions = run_exclusion_blowups(hat, condition)
     yield "exclusions", exclusions
     curves = exclude_degree_one_curves(hat)
     yield "curves", curves
@@ -1606,12 +1619,12 @@ def link_stages(F1, F2, samples=40, seed=0, trials=20, field=None):
     )
 
 
-def classify_links(F1, F2, samples=40, seed=0, trials=20, field=None):
+def classify_links(F1, F2, samples=40, seed=0, field=None):
     """Classify the elementary links of a degree-(12, 14) member.
 
     Runs every stage of link_stages and returns the assembled
     LinkClassification, one report per candidate center.
     """
-    for _, artifact in link_stages(F1, F2, samples, seed, trials, field):
+    for _, artifact in link_stages(F1, F2, samples, seed, field):
         pass
     return artifact

@@ -24,7 +24,6 @@ name instead of building a new polynomial on each call.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import total_ordering
 from math import comb, isqrt
@@ -1597,6 +1596,8 @@ def _coprime_pair_certificate(a, b):
         return False
     if _coprime_set_certificate([a, b]):
         return True
+    if a.ambient.field.characteristic == 2:
+        return False  # the discriminant argument below needs 1/2
     # quadratic with constant leading coefficient in some variable:
     # divisors have bounded degree there and can be enumerated via the
     # discriminant, so common factors can be decided exactly
@@ -1659,78 +1660,25 @@ def _nonsquare_certificate(disc):
     return None
 
 
-def _fp_univariate_irreducible(coeffs, p):
-    """Irreducibility over F_p of sum coeffs[k] T^k, by Rabin's test.
-
-    A monic f of degree n is irreducible iff T^(p^n) = T mod f and
-    gcd(T^(p^(n/q)) - T, f) = 1 for every prime q dividing n (Rabin,
-    "Probabilistic algorithms in finite fields", SIAM J. Comput. 9, 1980).
-    The powers T^(p^k) come from T^p by the Frobenius matrix, whose
-    rows are T^(ip) mod f.
-    """
-    F = GF(p)
-    f = _trim([c % p for c in coeffs], F)
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    if f[0] == 0:
-        return False  # T divides f
-    inv = F.inv(f[-1])
-    f = [c * inv % p for c in f]
-
-    def mulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ac in enumerate(a):
-            for j, bc in enumerate(b):
-                out[i + j] = (out[i + j] + ac * bc) % p
-        return _rem(out, f, F)
-
-    # T^p mod f by repeated squaring
-    xp, base, e = [1], [0, 1], p
-    while e:
-        if e & 1:
-            xp = mulmod(xp, base)
-        base = mulmod(base, base)
-        e >>= 1
-    rows = [[1]]
-    for _ in range(n - 1):
-        rows.append(mulmod(rows[-1], xp))
-
-    def frobenius(g):
-        out = [0] * n
-        for gc, row in zip(g, rows):
-            for k, rc in enumerate(row):
-                out[k] = (out[k] + gc * rc) % p
-        return _trim(out, F)
-
-    powers = [None, xp]  # powers[k] = T^(p^k) mod f
-    for _ in range(1, n):
-        powers.append(frobenius(powers[-1]))
-    if powers[n] != [0, 1]:
-        return False
-    for q in range(2, n + 1):
-        if n % q or any(q % r == 0 for r in range(2, q)):
-            continue
-        h = powers[n // q] + [0] * 2
-        h[1] = (h[1] - 1) % p
-        if len(_euclid(f, _trim(h, F), F)) != 1:
-            return False
-    return True
-
-
-def irreducibility_verdict(f, trials=20, seed=0):
+def irreducibility_verdict(f):
     """Decide irreducibility of f with a checkable certificate.
 
-    Deterministic rules run first: monomial content splits, linear and
-    quadratic variable rules with coprimality and discriminant certificates,
-    exact perfect square detection.  If none applies, random line
-    restrictions over F_p provide a probabilistic witness; failing that the
-    verdict is unknown.
+    Deterministic rules only: monomial content splits, exact perfect
+    square detection, and linear and quadratic variable rules with
+    coprimality and discriminant certificates; when none applies the
+    verdict is unknown.  A reducible verdict carries its factors.
+
+    "Irreducible" means irreducible over the coefficient field of f.  The
+    two witnesses the link pipeline reaches, linear with coprime
+    coefficient and remainder, and a discriminant of odd degree in some
+    variable, hold over every extension field as well; others need not:
+    "negative leading coefficient" certifies x^2 + y^2 over Q.  In
+    characteristic 2 the square-root rules do not apply, so the perfect
+    square and quadratic rules are skipped there.
     """
     ambient = f.ambient
     field = ambient.field
+    two_invertible = field.characteristic != 2
     if f.is_zero():
         return IrreducibilityVerdict("unknown", "zero polynomial")
     if f.is_constant():
@@ -1757,7 +1705,7 @@ def irreducibility_verdict(f, trials=20, seed=0):
         return _certify_reducible(f, mono, rest, "monomial content split")
 
     # rule 2: exact perfect square
-    if f.total_degree() % 2 == 0:
+    if two_invertible and f.total_degree() % 2 == 0:
         root = polynomial_sqrt(f)
         if root is not None:
             return _certify_reducible(f, root, root, "perfect square")
@@ -1776,7 +1724,7 @@ def irreducibility_verdict(f, trials=20, seed=0):
                     "irreducible",
                     f"linear in {v} with coprime coefficient and remainder",
                 )
-        elif d == 2:
+        elif d == 2 and two_invertible:
             A = uni.get(2, ambient.zero())
             B = uni.get(1, ambient.zero())
             C = uni.get(0, ambient.zero())
@@ -1819,34 +1767,4 @@ def irreducibility_verdict(f, trials=20, seed=0):
                 # square discriminant but no integral factor extracted
                 continue
 
-    # rule 5: probabilistic line restriction over a prime field
-    p = field.p if isinstance(field, PrimeField) else DEFAULT_PRIME
-    try:
-        fp = f.rename(Ambient(ambient.names, GF(p)))
-    except ZeroDivisionError:
-        # a denominator divisible by p: no line restriction is defined
-        return IrreducibilityVerdict("unknown", "no rule applied")
-    line = Ambient(("s",), GF(p))
-    rng = random.Random(seed)
-    n = ambient.nvars
-    deg = f.total_degree()
-    for trial in range(trials):
-        a = [rng.randrange(1, p) for _ in range(n)]
-        b = [rng.randrange(p) for _ in range(n)]
-        restrict = Substitution(fp.ambient, line, {
-            name: QPolynomial(line, {(1,): ai, (0,): bi})
-            for name, ai, bi in zip(ambient.names, a, b)
-        })
-        g = restrict(fp)
-        if g.total_degree() != deg:
-            continue
-        coeffs = [0] * (deg + 1)
-        for (k,), c in g.terms.items():
-            coeffs[k] = c
-        if _fp_univariate_irreducible(coeffs, p):
-            return IrreducibilityVerdict(
-                "irreducible",
-                f"random line restriction mod {p} irreducible of full degree"
-                f" (trial {trial})",
-            )
     return IrreducibilityVerdict("unknown", "no rule applied")

@@ -207,6 +207,11 @@ class TestInputValidation:
                                     weights=[True, 2, 3, 4, 7, 11])),
         lambda d: dict(d, member="random", seed=True),
         lambda d: dict(d, degrees=[True, 14]),
+        # without stated degrees, each equation must still be
+        # quasi-homogeneous
+        lambda d: dict({k: v for k, v in d.items() if k != "degrees"},
+                       equations=["x^12+y^6 + w*x",
+                                  "z^4 + x^2*y^3 + v*x"]),
     ])
     def test_rejected_documents(self, mangle):
         with pytest.raises(CliError):
@@ -553,6 +558,19 @@ class TestExitCodes:
             capsys)
         assert code == 1
 
+    def test_qsmooth_needs_an_equation(self, tmp_path, capsys):
+        doc = tmp_path / "empty.json"
+        doc.write_text(json.dumps(dict(COND_DOC, degrees=[], equations=[])),
+                       encoding="utf-8")
+        code, _, err = run_cli(["qsmooth", str(doc)], capsys)
+        assert code == 1
+        assert "qsmooth needs at least one equation" in err
+        # the blowup commands still take the empty list
+        for cmd in ("blowup", "two-ray"):
+            code, _, err = run_cli([cmd, str(doc), "--center", "x",
+                                    "--weights", "y=4,z=1,t=2,w=1"], capsys)
+            assert code == 0, err
+
     def test_certificate_failure(self, special_path, capsys):
         code, _, err = run_cli(["link", special_path], capsys)
         assert code == 2
@@ -586,24 +604,23 @@ class TestExitCodes:
         ["two-ray", "--random", "7", "--center", "w",
          "--weights", "x=6,y=1,z=7,t=2,v=9", "--seed", "3"],
         ["verify-paper", "--seed", "2", "--parallel", "2"],
+        ["classify", "--random", "7", "--trials", "-3"],
+        ["verify-paper", "--seed", "7", "--trials", "0"],
         # a sample count must be positive: none is no evidence
         ["classify", "--random", "7", "--samples", "-5"],
         ["link", "--random", "7", "--samples", "-2"],
         ["qsmooth", "--random", "7", "--samples", "0"],
         ["verify-paper", "--seed", "7", "--samples", "0"],
-        # so must a trial count
-        ["classify", "--random", "7", "--trials", "-3"],
-        ["verify-paper", "--seed", "7", "--trials", "0"],
         # and so must a process count
         ["qsmooth", "--random", "7", "--parallel", "-2"],
         # the center's weight fixes the quotient order of the chart
         ["blowup", "--random", "7", "--center", "w",
          "--weights", "x=6,y=1,z=7,t=2,v=9", "--den", "11"],
     ], ids=["format-yaml", "analyze-parallel", "two-ray-seed",
-            "verify-paper-parallel", "classify-samples-negative",
+            "verify-paper-parallel", "classify-trials-negative",
+            "verify-paper-trials-zero", "classify-samples-negative",
             "link-samples-negative", "qsmooth-samples-zero",
-            "verify-paper-samples-zero", "classify-trials-negative",
-            "verify-paper-trials-zero", "qsmooth-parallel-negative",
+            "verify-paper-samples-zero", "qsmooth-parallel-negative",
             "blowup-den"])
     def test_invalid_flag_value(self, argv, capsys):
         with pytest.raises(SystemExit) as info:

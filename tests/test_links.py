@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from wcilinks import links, qpoly
+from wcilinks import links, qpoly, singular
 from wcilinks.ambient import ConeZ2, DivisorClass
 from wcilinks.links import (
     CENSUS_SAMPLES,
@@ -344,6 +344,16 @@ class TestCensusHatX:
         assert labels == {"t": "1/2(1,1,1)", "v": "1/3(1,1,2)"}
         assert census.curve["quasismooth_away_from_qhat"]
 
+    def test_uncertified_E_divisor_rejects(self, sigma, monkeypatch):
+        # E, the extraction of the sigma-inverse link, must be certified
+        # irreducible like the exclusion divisors
+        monkeypatch.setattr(
+            singular, "irreducibility_verdict",
+            lambda f: qpoly.IrreducibilityVerdict("unknown", "patched"))
+        message = "exceptional divisor E over qhat is not certified"
+        with pytest.raises(CertificateError, match=message):
+            singularity_census_hatX(sigma.hat)
+
     def test_germ_table_lambda_nonzero(self, sigma):
         census = singularity_census_hatX(sigma.hat)
         germ = census.germ
@@ -427,11 +437,11 @@ class TestExclusions:
         real = links.irreducibility_verdict
         calls = []
 
-        def verdict(f, trials=20):
+        def verdict(f):
             calls.append(f)
             if len(calls) == failing + 1:
                 return qpoly.IrreducibilityVerdict("unknown", "patched")
-            return real(f, trials=trials)
+            return real(f)
 
         monkeypatch.setattr(links, "irreducibility_verdict", verdict)
         message = re.escape(f"{blowup} blowup is not certified")

@@ -30,7 +30,6 @@ from wcilinks.qpoly import (
 )
 from wcilinks.qpoly import (
     _eliminate,
-    _fp_univariate_irreducible,
     _univariate_gcd,
     det,
 )
@@ -783,6 +782,12 @@ def test_verdict_linear_with_quadratic_lead_coefficient():
     f = B.parse("(3*w^2 + 2*z*w + y)*s + y^3 + t^2 + w*z^2")
     v = irreducibility_verdict(f)
     assert v.is_irreducible, v.witness
+    # over GF(2) that certificate needs 1/2 and is skipped, so s fails
+    # and y, linear with a monomial remainder, decides
+    C = Ambient(("s", "w", "z", "y"), GF(2))
+    v = irreducibility_verdict(C.parse("(w^2 + z*w + y)*s + y*w + z^2"))
+    assert (v.kind, v.witness) == (
+        "irreducible", "linear in y with coprime coefficient and remainder")
 
 
 def test_verdict_reducible_factors_verify(A):
@@ -795,7 +800,11 @@ def test_verdict_reducible_factors_verify(A):
 
 @pytest.mark.parametrize("p", [2, 3, 7, 101, DEFAULT_PRIME])
 def test_fp_irreducibility_matches_sympy(p):
+    # a decided verdict on a univariate polynomial over F_p is sympy's
+    # answer, and for odd p every degree up to two is decided; p = 2 has
+    # no square-root rules, but must not raise
     T = sympy.Symbol("T")
+    B = Ambient(("T",), GF(p))
     rng = random.Random(p)
     for deg in range(1, 10):
         for _ in range(30):
@@ -803,20 +812,24 @@ def test_fp_irreducibility_matches_sympy(p):
                       + [rng.randrange(1, p)])
             poly = sympy.Poly(list(reversed(coeffs)), T,
                               domain=sympy.GF(p))
-            assert _fp_univariate_irreducible(coeffs, p) == \
-                poly.is_irreducible, coeffs
+            v = irreducibility_verdict(QPolynomial(
+                B, {(k,): c for k, c in enumerate(coeffs) if c}))
+            if v.kind != "unknown":
+                assert v.is_irreducible == poly.is_irreducible, coeffs
+            else:
+                assert p == 2 or deg > 2, coeffs
 
 
 def test_verdict_random_line_witness():
     B = Ambient(("x", "y", "z"), GF(101))
     f = B.parse("x^3 + y^3 + z^3 + x*y*z + 1")
-    v = irreducibility_verdict(f, trials=40, seed=2)
+    v = irreducibility_verdict(f)
     assert v.kind in ("irreducible", "unknown")
 
 
-def _rule5_cases():
+def _seeded_cases():
     """Seeded polynomials in x, y, z of degree 3 to 5 in each variable,
-    most of them past rules 1-4 of irreducibility_verdict."""
+    most of them past every rule of irreducibility_verdict."""
     rng = random.Random(9)
     cases = []
     for field in (QQ, GF(7), GF(101), GF(10007)):
@@ -841,101 +854,28 @@ def _rule5_cases():
     return cases
 
 
-# the verdicts of _rule5_cases() with trials=4 and seed = index, frozen:
-# the rng draws, the skipped trials and the witness text of the line
-# restriction must not move
-RULE5_FROZEN = (
-    "irreducible: random line restriction mod 2147483647 irreducible of"
-    " full degree (trial 2)",
-    "irreducible: random line restriction mod 2147483647 irreducible of"
-    " full degree (trial 0)",
-    "irreducible: random line restriction mod 2147483647 irreducible of"
-    " full degree (trial 1)",
-    "irreducible: random line restriction mod 2147483647 irreducible of"
-    " full degree (trial 0)",
-    "unknown: no rule applied",
-    "irreducible: random line restriction mod 2147483647 irreducible of"
-    " full degree (trial 1)",
-    "irreducible: random line restriction mod 2147483647 irreducible of"
-    " full degree (trial 0)",
-    "irreducible: random line restriction mod 2147483647 irreducible of"
-    " full degree (trial 2)",
-    "irreducible: random line restriction mod 2147483647 irreducible of"
-    " full degree (trial 0)",
-    "unknown: no rule applied",
-    "unknown: no rule applied",
-    "unknown: no rule applied",
-    "unknown: no rule applied",
-    "irreducible: random line restriction mod 7 irreducible of full degree"
-    " (trial 0)",
-    "unknown: no rule applied",
-    "unknown: no rule applied",
-    "unknown: no rule applied",
-    "irreducible: random line restriction mod 7 irreducible of full degree"
-    " (trial 0)",
-    "irreducible: quadratic in x, discriminant not a square (no exact"
-    " polynomial square root)",
-    "irreducible: random line restriction mod 7 irreducible of full degree"
-    " (trial 3)",
-    "irreducible: random line restriction mod 101 irreducible of full"
-    " degree (trial 1)",
-    "irreducible: random line restriction mod 101 irreducible of full"
-    " degree (trial 2)",
-    "irreducible: random line restriction mod 101 irreducible of full"
-    " degree (trial 2)",
-    "irreducible: random line restriction mod 101 irreducible of full"
-    " degree (trial 0)",
-    "irreducible: random line restriction mod 101 irreducible of full"
-    " degree (trial 0)",
-    "irreducible: random line restriction mod 101 irreducible of full"
-    " degree (trial 2)",
-    "irreducible: random line restriction mod 101 irreducible of full"
-    " degree (trial 0)",
-    "irreducible: random line restriction mod 101 irreducible of full"
-    " degree (trial 0)",
-    "unknown: no rule applied",
-    "irreducible: random line restriction mod 101 irreducible of full"
-    " degree (trial 1)",
-    "unknown: no rule applied",
-    "irreducible: random line restriction mod 10007 irreducible of full"
-    " degree (trial 1)",
-    "irreducible: random line restriction mod 10007 irreducible of full"
-    " degree (trial 0)",
-    "irreducible: random line restriction mod 10007 irreducible of full"
-    " degree (trial 1)",
-    "unknown: no rule applied",
-    "irreducible: random line restriction mod 10007 irreducible of full"
-    " degree (trial 1)",
-    "unknown: no rule applied",
-    "irreducible: random line restriction mod 10007 irreducible of full"
-    " degree (trial 1)",
-    "irreducible: random line restriction mod 10007 irreducible of full"
-    " degree (trial 2)",
-    "irreducible: random line restriction mod 10007 irreducible of full"
-    " degree (trial 0)",
-)
+# the verdicts of _seeded_cases(), frozen: one case is decided by the
+# quadratic rule, and no rule applies to the others
+FROZEN_VERDICTS = ["unknown: no rule applied"] * 40
+FROZEN_VERDICTS[18] = ("irreducible: quadratic in x, discriminant not a"
+                       " square (no exact polynomial square root)")
 
 
 def test_verdict_line_restriction_frozen(A):
     got = []
-    for i, f in enumerate(_rule5_cases()):
-        v = irreducibility_verdict(f, trials=4, seed=i)
+    for f in _seeded_cases():
+        v = irreducibility_verdict(f)
         got.append(f"{v.kind}: {v.witness}")
-    assert got == list(RULE5_FROZEN)
-    # a^4 = 1 for every nonzero a mod 5, so every line restriction of
-    # this quartic drops its degree and every trial is skipped
+    assert got == FROZEN_VERDICTS
     B = Ambient(("x", "y", "z"), GF(5))
     v = irreducibility_verdict(B.parse("x^4 - y^4 + z^3 + x*y*z + 1"))
     assert (v.kind, v.witness) == ("unknown", "no rule applied")
-    # a denominator divisible by p leaves no line restriction defined
+    # rational coefficients with small or large denominators alike
     base = A.parse("x^3 + y^3 + z^3 + x*y*z + 1")
     term = A.parse("x*y^2")
-    v = irreducibility_verdict(base + term.scale(Fraction(1, 2)))
-    assert (v.kind, v.witness) == (
-        "irreducible", "random line restriction mod 2147483647"
-        " irreducible of full degree (trial 4)")
-    v = irreducibility_verdict(base + term.scale(Fraction(1, DEFAULT_PRIME)))
-    assert (v.kind, v.witness) == ("unknown", "no rule applied")
+    for den in (2, DEFAULT_PRIME):
+        v = irreducibility_verdict(base + term.scale(Fraction(1, den)))
+        assert (v.kind, v.witness) == ("unknown", "no rule applied")
 
 
 # ---------------------------------------------------------------------------
