@@ -591,6 +591,38 @@ class TestExitCodes:
                                capsys)
         assert code == 3
         assert "eliminating s does not recover the cE6 chart" in err
+        # verify-paper reports the passed steps, then one inconsistency
+        code, out, _ = run_cli(["verify-paper", member_path, "--samples",
+                                "5"], capsys)
+        assert code == 3
+        report = json.loads(out)
+        assert report["status"] == "failed"
+        assert [s["name"] for s in report["steps"]] == [
+            "normal-form", "census", "extraction-discrepancy", "link-sigma",
+            "model-equation", "inconsistency"]
+        assert [s["passed"] for s in report["steps"]] == [True] * 5 + [False]
+        assert "does not recover the cE6 chart" in (
+            report["steps"][-1]["detail"])
+
+    def test_second_singular_point_is_an_internal_inconsistency(
+            self, member_path, capsys, monkeypatch):
+        # the census of a normal form has one singular point, so a second
+        # one is a fault of the program, not of the member
+        real = wcilinks.links.classify_quotient_singularity
+
+        def second_quotient(equations, wps, point):
+            if len(equations) == 2 and point == "t":
+                w = real(equations, wps, "w")
+                return wcilinks.singular.SingularityReport(
+                    "t", True, True, w.rank, w.eliminated, w.quotient)
+            return real(equations, wps, point)
+
+        monkeypatch.setattr(wcilinks.links, "classify_quotient_singularity",
+                            second_quotient)
+        code, _, err = run_cli(["classify", member_path, "--samples", "5"],
+                               capsys)
+        assert code == 3
+        assert "internal inconsistency: expected the weight-11" in err
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -601,6 +633,11 @@ class TestExitCodes:
         ["analyze", "--format", "yaml"],
         # flags a subcommand does not read are not registered on it
         ["analyze", "--random", "7", "--parallel", "2"],
+        ["analyze", "--random", "7", "--field", "q"],
+        ["blowup", "--random", "7", "--center", "w",
+         "--weights", "x=6,y=1,z=7,t=2,v=9", "--field", "fp"],
+        ["two-ray", "--random", "7", "--center", "w",
+         "--weights", "x=6,y=1,z=7,t=2,v=9", "--field", "q"],
         ["two-ray", "--random", "7", "--center", "w",
          "--weights", "x=6,y=1,z=7,t=2,v=9", "--seed", "3"],
         ["verify-paper", "--seed", "2", "--parallel", "2"],
@@ -616,7 +653,8 @@ class TestExitCodes:
         # the center's weight fixes the quotient order of the chart
         ["blowup", "--random", "7", "--center", "w",
          "--weights", "x=6,y=1,z=7,t=2,v=9", "--den", "11"],
-    ], ids=["format-yaml", "analyze-parallel", "two-ray-seed",
+    ], ids=["format-yaml", "analyze-parallel", "analyze-field",
+            "blowup-field", "two-ray-field", "two-ray-seed",
             "verify-paper-parallel", "classify-trials-negative",
             "verify-paper-trials-zero", "classify-samples-negative",
             "link-samples-negative", "qsmooth-samples-zero",

@@ -39,6 +39,13 @@ MAIN_F1 = ("w*x + y^6 + y^4*t + y^2*t^2 + t^3 + y*z*v + z^4"
 MAIN_F2 = "w*z + v^2 + y*(y^6 + 2*t^3) + x^14 + x^2*z^4"
 
 
+def _drop(f, *monomials):
+    """f without the given monomials."""
+    for mono in monomials:
+        f = f - f.ambient.parse(mono).scale(f.coefficient(mono))
+    return f
+
+
 @pytest.fixture(scope="module")
 def amb():
     return X_WPS.ambient()
@@ -202,6 +209,30 @@ class TestNormalForm:
         with pytest.raises(CertificateError):
             normal_form_X1214(f1, f2)
 
+    def test_shared_root_is_not_quasismooth(self, amb):
+        # seed 38: a12 and c12 share the root t = y^2
+        with pytest.raises(CertificateError, match="member is not"
+                           " quasismooth: a12 and c12 share a root"):
+            normal_form_X1214(*random_member(38))
+        # a simple shared root t = -y^2: both equations vanish at
+        # (0:1:0:-1:0:0), where the Jacobian has rank one
+        eqs = (amb.parse("w*x + (t + y^2)*(t^2 + y^4) + y*z*v + z^4"
+                         " + x^12"),
+               amb.parse("w*z + v^2 + y*(t + y^2)*(2*t^2 + y^4) + x^14"))
+        point = (0, 1, 0, -1, 0, 0)
+        assert [evaluate(f, point) for f in eqs] == [0, 0]
+        assert qpoly.matrix_rank_at(eqs, point) == 1
+        with pytest.raises(CertificateError, match="not quasismooth"):
+            normal_form_X1214(*eqs)
+
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_vanishing_c12_rejected(self, seed):
+        # a boundary member: the normal form without y*c12 in F2
+        nf = normal_form_X1214(*random_member(seed))
+        F2 = _drop(nf.F2, "y^7", "y^5*t", "y^3*t^2", "y*t^3")
+        with pytest.raises(CertificateError, match="c12 vanishes"):
+            normal_form_X1214(nf.F1, F2)
+
     @pytest.mark.parametrize("mapping, refusal", [
         ({"x": "0*x"}, "scales x by zero"),
         ({"z": "z + x*y", "x": "2*x"}, "shift of z involves"),
@@ -265,6 +296,18 @@ class TestCensusX:
         census = singularity_census_X(out, samples=5, seed=1)
         assert sorted(census.singular) == ["w"]
         assert census.singular["w"].type_label() == "1/11(1,2,9)"
+
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_singular_x_point_rejected(self, seed):
+        # a boundary member: without x^12 in F1 the x-point lies on X,
+        # and without x^14, x^12*y, x^11*z and x^10*t in F2 the gradient
+        # of F2 vanishes there
+        nf = normal_form_X1214(*random_member(seed))
+        F1 = _drop(nf.F1, "x^12")
+        F2 = _drop(nf.F2, "x^14", "x^12*y", "x^11*z", "x^10*t")
+        with pytest.raises(CertificateError, match="coordinate point at x"
+                           " lies on the member but is not quasismooth"):
+            singularity_census_X(normal_form_X1214(F1, F2), samples=1)
 
     def test_special_member_rejected(self, amb):
         # t^3 missing from a12: the (y, t)-stratum meets the member
@@ -455,12 +498,13 @@ class TestExclusions:
 
 
 class TestCurves:
-    def test_main(self, sigma):
+    def test_main(self, nf, sigma):
         out = exclude_degree_one_curves(sigma.hat)
         assert out.ok
         assert out.graph["top_bucket"] == 5
         assert out.graph["alpha"] == 1
-        assert out.common_root["gcd_degree"] == 0
+        # a6 and c6 are a12 and c12 renamed: the normal form's resultant
+        assert out.common_root["resultant"] == nf.certificate.resultant
         assert out.common_root["resultant"] != 0
 
     def test_random(self):
