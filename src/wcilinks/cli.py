@@ -493,7 +493,7 @@ def cmd_link(args):
         {"name": "normal-form",
          "F1": str(nf.F1), "F2": str(nf.F2),
          "lambda": _rat(nf.lam), "mu": _rat(nf.mu),
-         "resultant": _rat(nf.certificate.resultant),
+         "resultant": _rat(nf.resultant),
          "steps": [label for label, _ in nf.steps]},
         {"name": "census",
          "fano_index": census.fano_index,
@@ -572,7 +572,7 @@ def cmd_classify(args):
 _PAPER_STEPS = {
     "normal-form": [
         ("normal-form", lambda nf: f"lambda={nf.lam} mu={nf.mu}"
-         f" resultant={nf.certificate.resultant}")],
+         f" resultant={nf.resultant}")],
     "census": [
         ("census", "Fano index 2; one singular point of type 1/11(1,2,9)")],
     "sigma": [
@@ -608,11 +608,15 @@ _PAPER_STEPS = {
 
 def cmd_verify_paper(args):
     if args.input is None:
-        # a seeded member: --random picks it, else --seed does, and the
-        # same seed drives the sampled checks
+        # a seeded member: --random or --seed picks it, and the same seed
+        # drives the sampled checks
         if args.random is None:
-            args.random = args.seed
+            args.random = args.seed or 0
+        elif args.seed is not None:
+            raise CliError("give --random or --seed, not both")
         args.seed = args.random
+    elif args.seed is None:
+        args.seed = 0
     spec = _spec_from_args(args)
     F1, F2 = _standard_member(spec)
     steps = []
@@ -759,7 +763,9 @@ def build_parser():
                                " seeded member")
     _add_common(sub)
     _add_sampling(sub)
-    sub.set_defaults(func=cmd_verify_paper)
+    # no default seed, so that cmd_verify_paper can refuse --seed with
+    # --random; it reads an absent --seed as 0
+    sub.set_defaults(func=cmd_verify_paper, seed=None)
 
     return parser
 

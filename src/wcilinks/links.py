@@ -9,8 +9,8 @@ X = X_{12,14} of P(1,2,3,4,7,11) with coordinates (x, y, z, t, v, w):
       F2 =  z*w + v^2 + y*c12(y,t) + g14(x,y,z,t),
 
   by a chain of coordinate steps, each certified a graded automorphism
-  as it is applied, with a nondegeneracy certificate (mu != 0, c12 != 0,
-  Res_t(a12, c12) != 0);
+  as it is applied, requiring mu != 0 and c12 != 0 and recording the
+  resultant Res_t(a12, c12), which must be nonzero;
 * census the coordinate points of X: exactly one singular point, of
   terminal type 1/11(1,2,9) at the weight-11 coordinate;
 * run the two-ray game of the (6,1,7,2,9)/11 blowup of that point and
@@ -186,19 +186,6 @@ def random_member(seed):
 
 
 @record
-class NondegeneracyCertificate:
-    """Open conditions making the normal form and its links generic."""
-
-    mu: Fraction
-    c12_nonzero: bool
-    resultant: Fraction
-
-    @property
-    def ok(self):
-        return self.mu != 0 and self.c12_nonzero and self.resultant != 0
-
-
-@record
 class NormalFormX1214:
     """The member in normal coordinates, with the pieces split off."""
 
@@ -210,10 +197,9 @@ class NormalFormX1214:
     lam: Fraction
     b4: QPolynomial
     c12: QPolynomial
-    g14: QPolynomial
     mu: Fraction
+    resultant: Fraction
     steps: tuple
-    certificate: NondegeneracyCertificate
 
 
 # weights of the extraction over the 1/11 point, used to grade g14
@@ -400,11 +386,9 @@ def normal_form_X1214(F1, F2):
              "member is not quasismooth: a12 and c12 share a root",
              CertificateError)
 
-    certificate = NondegeneracyCertificate(mu=mu, c12_nonzero=True,
-                                           resultant=rval)
     return NormalFormX1214(
         spec=X_SPEC, F1=f1, F2=f2, S12=S12, a12=a12, lam=lam, b4=b4,
-        c12=c12, g14=g14, mu=mu, steps=tuple(steps), certificate=certificate,
+        c12=c12, mu=mu, resultant=rval, steps=tuple(steps),
     )
 
 
@@ -521,9 +505,7 @@ class CensusX:
     spec: WCISpec
     reports: tuple
     singular: dict
-    stratum: dict
     samples: int
-    sampled_quasismooth: bool
 
     @property
     def fano_index(self):
@@ -540,11 +522,9 @@ def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, sampler=None):
     """Classify all coordinate points of the member and its strata.
 
     Expects exactly one singular coordinate point, of terminal type
-    1/11(1,2,9); certifies that the one-dimensional ambient quotient
-    stratum (the (y, t)-locus) misses the member; and spot-checks
-    quasismoothness at the first samples points that sampler draws for
-    seed: at each of them the Jacobian of (F1, F2) has exact rank 2, so
-    the member is quasismooth there.
+    1/11(1,2,9), and spot-checks quasismoothness at the first samples
+    points that sampler draws for seed: at each of them the Jacobian of
+    (F1, F2) has exact rank 2, so the member is quasismooth there.
     link_stages passes the sampler of the involution check, so these
     are the first min(samples, CENSUS_SAMPLES) involution points;
     without one, the census draws its own over F_(2^31-1).
@@ -554,6 +534,15 @@ def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, sampler=None):
     the z-, t- and v-points off X, and x*w and z*w fix the type of the
     w-point.  So a census with another singular point or another type is
     an InconsistencyError.
+
+    The only positive-dimensional singular stratum of the ambient, the
+    (y, t)-locus x = z = v = w = 0, misses the member by the gates of
+    normal_form_X1214.  On it F1 = -x*w + S12 restricts to a12, since
+    S12 reassembles as a12 + lam*y*z*v + z^4 + z^2*y*b4, and F2 = z*w
+    + v^2 + y*c12 + g14 restricts to y*c12, since g14 lies in (x, z)^2.
+    A point (y0:t0) of the stratum on the member has y0 != 0, because
+    a12(0, t0) = mu*t0^3 with mu != 0, so it is a common root of a12
+    and c12, which the nonzero resultant Res_t(a12, c12) excludes.
     """
     wps = nf.spec.wps
     eqs = (nf.F1, nf.F2)
@@ -577,24 +566,6 @@ def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, sampler=None):
              " weight-11 point")
     _require(quot.is_terminal(), "the 1/11 point is not terminal")
 
-    # the only positive-dimensional singular stratum of the ambient is
-    # the (y, t)-locus; the member misses it iff a12 and c12 have no
-    # common projective root, which the nondegeneracy resultant certifies
-    amb = nf.F1.ambient
-    zeromap = {"x": 0, "z": 0, "v": 0, "w": 0}
-    restrict = Substitution(amb, amb, zeromap)
-    rest1, rest2 = restrict(nf.F1), restrict(nf.F2)
-    _require(rest1 == nf.a12, "F1 does not restrict to a12 on the stratum")
-    _require(rest2 == amb.var("y") * nf.c12,
-             "F2 does not restrict to y*c12 on the stratum")
-    stratum = {
-        "variables": ("y", "t"),
-        "restrictions": (rest1, rest2),
-        "mu": nf.mu,
-        "resultant": nf.certificate.resultant,
-        "empty": nf.certificate.ok,
-    }
-
     sampler = sampler or _Sampler(eqs, wps, GF(DEFAULT_PRIME))
     for pt in sampler.points(samples, seed):
         _require(sampler.quasismooth(pt),
@@ -602,8 +573,7 @@ def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, sampler=None):
                  CertificateError)
 
     return CensusX(spec=nf.spec, reports=reports, singular=singular,
-                   stratum=stratum, samples=samples,
-                   sampled_quasismooth=True)
+                   samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +593,6 @@ class NormalFormHatX:
     g6: QPolynomial
     lam: Fraction
     mu: Fraction
-    certificate: NondegeneracyCertificate
 
 
 @record
@@ -633,7 +602,6 @@ class Verdict:
     kind: str                   # ElementaryLink | NotSarkisov | NotMaximal
     detail: str = ""            # | CitedExclusion
     target: WCISpec | None = None
-    target_equations: tuple = ()
     reference: str | None = None
 
 
@@ -655,7 +623,6 @@ class LinkReport:
 class SigmaLink:
     """The elementary link from the 1/11 point, fully certified."""
 
-    transported: tuple
     trace: object
     cones: object
     extraction: object
@@ -674,6 +641,22 @@ def construct_link_sigma(nf):
     equations to the wall locus), and the anticanonical class must lie
     strictly inside the movable cone.  The resulting model is read off
     exactly and cross-checked against affine chart identities.
+
+    No gate here can reject a member that passed normal_form_X1214, so
+    each failure is an InconsistencyError.  The game itself, its wall
+    pattern included, is played on the toric blowup of P(1,2,3,4,7,11)
+    alone and never reads the equations.  The first wall, (y, t), is an
+    isomorphism for every normal form: on both of its sides, v = z = x
+    = 0 and u = w = 0, the transported F1 and F2 restrict to a12(y, t)
+    and y*c12(y, t), since every other monomial involves x, z or v on
+    the first side and w or a positive power of u on the second.
+    certify_stratum_empty decides that binary pair.  On t = 1 the two
+    share no root: y = 0 is not a root of a12, since mu != 0, and any
+    other common root is a root of Res_t(a12, c12), which the normal
+    form requires nonzero.  On t = 0 they are the y^6 term of a12 and
+    the y^7 term of F2; both vanish only if a12(1, 0) = c12(1, 0) = 0,
+    which also makes the resultant vanish, so one is a nonzero monomial
+    in y, and y = t = 0 is unstable.
     """
     amb = nf.F1.ambient
     # discrepancy record of the extraction, cross-checked chartwise
@@ -691,8 +674,7 @@ def construct_link_sigma(nf):
              "unexpected bidegrees for the transported F1 and F2")
     _require(trace.nmodels == 3, "expected a trace of three models")
     _require(tuple(wc.wall_vars for wc in trace.walls) == (("y", "t"), ("v",)),
-             "unexpected wall pattern in the two-ray game",
-             CertificateError)
+             "unexpected wall pattern in the two-ray game")
     _require(trace.walls[1].plus_vars == ("z", "x"),
              "the second wall does not contract the (z, x)-locus")
     _require(trace.end.kind == "divisorial" and trace.end.contracted == "x",
@@ -703,8 +685,7 @@ def construct_link_sigma(nf):
              " divisor")
     _require(cones.wall_reports[0].isomorphism,
              "the member meets the first wall locus (v = z = x = 0);"
-             " its small modification is not an isomorphism there",
-             CertificateError)
+             " its small modification is not an isomorphism there")
     _require(not cones.wall_reports[1].isomorphism,
              "the second wall unexpectedly certifies as an isomorphism")
     _require(cones.anticanonical == DivisorClass(2, 1),
@@ -769,8 +750,7 @@ def construct_link_sigma(nf):
                  "the inverse of sigma is not graded with factor 1")
 
     hat = NormalFormHatX(spec=HAT_SPEC, F=F, W=W, a6=a6, b2=b2, c6=c6,
-                         g6=g6, lam=nf.lam, mu=nf.mu,
-                         certificate=nf.certificate)
+                         g6=g6, lam=nf.lam, mu=nf.mu)
     report = LinkReport(
         name="sigma",
         center="the 1/11(1,2,9) point of X",
@@ -780,15 +760,13 @@ def construct_link_sigma(nf):
                    " two-ray game ending in a divisorial contraction onto"
                    " a degree-7 hypersurface in P(1,1,1,2,3)",
             target=HAT_SPEC,
-            target_equations=(F,),
         ),
         extraction=record,
         trace=trace,
         cones=cones,
     )
-    return SigmaLink(transported=(t1, t2), trace=trace,
-                     cones=cones, extraction=record, hat=hat, sigma=sigma,
-                     sigma_inverse=sigma_inverse, report=report)
+    return SigmaLink(trace=trace, cones=cones, extraction=record, hat=hat,
+                     sigma=sigma, sigma_inverse=sigma_inverse, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -803,9 +781,7 @@ class CensusHatX:
     reports: dict
     singular: dict
     qhat: object
-    curve: dict
     germ: object
-    germ_equation: QPolynomial
 
 
 def singularity_census_hatX(hat):
@@ -845,16 +821,11 @@ def singularity_census_hatX(hat):
     on_curve = substitute(F, {"u": 0, "y": 0, "t": 0}, hat_amb)
     _require(on_curve.is_zero(),
              "the coordinate curve (u = y = t = 0) is not on the model")
-    rows, entries = quasismooth_on_stratum((F,), ("u", "y", "t"))
+    _, entries = quasismooth_on_stratum((F,), ("u", "y", "t"))
     _require(len(entries) == 1 and entries[0][1] == "u"
              and entries[0][2] == hat_amb.monomial((0, 0, 0, 0, 2), 1),
              "the restricted derivative along the curve is not exactly"
              " v^2 in the u-slot")
-    curve = {
-        "variables": ("z", "v"),
-        "witness": entries[0],
-        "quasismooth_away_from_qhat": True,
-    }
 
     # the germ at qhat in the affine chart z = 1, in filtration
     # coordinates (x, y, z, t) = (u, t, y, v) of weights (3, 2, 1, 2)
@@ -878,8 +849,7 @@ def singularity_census_hatX(hat):
              f" qhat, found {analysis.low_discrepancy_count}")
 
     return CensusHatX(spec=hat.spec, reports=reports, singular=singular,
-                      qhat=reports["z"], curve=curve, germ=analysis,
-                      germ_equation=f_germ)
+                      qhat=reports["z"], germ=analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -1141,17 +1111,10 @@ def run_exclusion_blowups(hat, condition=None):
 
 @record
 class CurveExclusion:
-    """Exact parameter-count certificates for degree-one curves."""
+    """The computed values of the degree-one curve exclusion."""
 
-    splitting: dict
-    graph: dict
-    surface: dict
-    common_root: dict
-
-    @property
-    def ok(self):
-        return (self.splitting["ok"] and self.graph["ok"]
-                and self.surface["ok"] and self.common_root["ok"])
+    section: QPolynomial        # the (u = y = 0) section, mu*z*t^3
+    alpha: Fraction             # the u^2*z^5 coefficient of the model
 
 
 def exclude_degree_one_curves(hat):
@@ -1164,22 +1127,18 @@ def exclude_degree_one_curves(hat):
     alpha*u^2 * z^5 as the entire top z-bucket, so any such graph on the
     model lies inside (u = 0); (iii) on the surface (u = 0) the
     candidate graphs t = a*z^2 + b*y*z + c*y^2 force a = 0 then b = 0
-    by the cubes mu*a^3 and mu*b^3*y^3, leaving y^6 times a binary pair
-    with no common root by the nondegeneracy certificate.
+    by the cubes mu*a^3 and mu*b^3*y^3, leaving y^6 times the binary
+    pair z*a6(1, c) + c6(1, c).  It vanishes identically only at a common
+    root c of a6(1, t) and c6(1, t).  a6 and c6 are a12 and c12 renamed,
+    and the gate "a12 and c12 share a root" of normal_form_X1214, which
+    requires Res_t(a12, c12) != 0, certifies that there is none.
     """
     F = hat.F
     hat_amb = F.ambient
     field = hat_amb.field
 
-    restricted = substitute(F, {"u": 0, "y": 0}, hat_amb)
-    expected = hat_amb.monomial((0, 0, 1, 3, 0), hat.mu)
-    splitting = {
-        "restriction": restricted,
-        "ok": restricted == expected,
-        "note": "the (u = y = 0) section is mu*z*t^3: two coordinate"
-                " lines",
-    }
-    _require(splitting["ok"],
+    section = substitute(F, {"u": 0, "y": 0}, hat_amb)
+    _require(section == hat_amb.monomial((0, 0, 1, 3, 0), hat.mu),
              "the section of the model by (u = y = 0) is not mu*z*t^3")
 
     params = ("a1", "a2", "a3", "a4", "a5",
@@ -1196,19 +1155,11 @@ def exclude_degree_one_curves(hat):
             + b[9] * ye**3))
     phi = substitute(F, {"t": T, "v": V}, ext)
     buckets = phi.as_univariate("z")
-    alpha_hat = F.coefficient((2, 0, 5, 0, 0))
-    top_ok = (max(buckets) == 5
-              and buckets[5] == ext.monomial(
-                  (2,) + (0,) * (ext.nvars - 1), alpha_hat))
-    graph = {
-        "top_bucket": 5,
-        "alpha": alpha_hat,
-        "ok": top_ok and not field.is_zero(alpha_hat),
-        "note": "the z^5 coefficient of the substituted model is"
-                " alpha*u^2 alone, so a graph over (u:y:z) on the model"
-                " forces u = 0",
-    }
-    _require(graph["ok"],
+    alpha = F.coefficient((2, 0, 5, 0, 0))
+    _require(max(buckets) == 5
+             and buckets[5] == ext.monomial(
+                 (2,) + (0,) * (ext.nvars - 1), alpha)
+             and not field.is_zero(alpha),
              "the graph substitution does not isolate alpha*u^2 in the"
              " top z-bucket")
 
@@ -1221,37 +1172,18 @@ def exclude_degree_one_curves(hat):
     av, bv, cv = ext3.var("a"), ext3.var("b"), ext3.var("c")
     s2 = substitute(surface_eq, {"t": av * za**2 + bv * ya * za
                                  + cv * ya**2}, ext3)
-    z7 = s2.coefficient_of_power("z", 7)
-    ok7 = z7 == ext3.monomial((0, 0, 3, 0, 0), hat.mu)
     s3 = substitute(s2, {"a": 0}, ext3)
-    z4 = s3.coefficient_of_power("z", 4)
-    ok4 = z4 == ext3.monomial((3, 0, 0, 3, 0), hat.mu)
     s4 = substitute(s3, {"b": 0}, ext3)
     binary = Substitution(hat_amb, ext3, {"y": ext3.one(), "t": cv})
     a_c, c_c = binary(hat.a6), binary(hat.c6)
-    ok_res = s4 == ya**6 * (za * a_c + ya * c_c)
-    surface = {
-        "z7_bucket_is_mu_a3": ok7,
-        "z4_bucket_is_mu_b3_y3": ok4,
-        "residual_is_binary_pair": ok_res,
-        "ok": ok7 and ok4 and ok_res,
-        "note": "candidate graphs on the surface force a = b = 0 and"
-                " then need a common root of a6 and c6",
-    }
-    _require(surface["ok"],
+    _require(s2.coefficient_of_power("z", 7)
+             == ext3.monomial((0, 0, 3, 0, 0), hat.mu)
+             and s3.coefficient_of_power("z", 4)
+             == ext3.monomial((3, 0, 0, 3, 0), hat.mu)
+             and s4 == ya**6 * (za * a_c + ya * c_c),
              "the surface parameter count does not reduce to the binary"
              " pair")
-
-    # a6 and c6 are a12 and c12 renamed: the normal form's resultant
-    common_root = {
-        "resultant": hat.certificate.resultant,
-        "ok": hat.certificate.ok,
-        "note": "a6(1, t) and c6(1, t) share no root; with mu != 0 this"
-                " covers the point at infinity as well",
-    }
-
-    return CurveExclusion(splitting=splitting, graph=graph,
-                          surface=surface, common_root=common_root)
+    return CurveExclusion(section=section, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -1263,17 +1195,9 @@ class InvolutionData:
     """The biregular involution of the model and its lift to X."""
 
     chi: Substitution
-    chi_preserves_model: bool
-    chi_squared_identity: bool
-    sigma_prime: tuple
-    sigma_prime_inverse: tuple
     iota: tuple
     scale_degree: int
-    equivariance: tuple
-    squared_identity: bool
     valuations: tuple
-    links_distinct: bool
-    biregular: bool
 
 
 def involution_tuple(nf, sigma_inverse, lam=None):
@@ -1325,20 +1249,13 @@ def build_involutions(nf, sigma_link):
     uh, yh, zh, th, vh = (hat_amb.var(n) for n in HAT_WPS.names)
     vimg = vh.scale(Fraction(-1)) - (yh * zh**2).scale(hat.lam)
     chi = Substitution(hat_amb, hat_amb, {"v": vimg})
-    chi_fix = chi(hat.F) == hat.F
-    _require(chi_fix, "the deck involution does not preserve the model")
-    chi_sq = substitute(vimg, {"v": vimg}, hat_amb) == vh
-    _require(chi_sq, "the deck involution does not square to the"
-             " identity")
+    _require(chi(hat.F) == hat.F,
+             "the deck involution does not preserve the model")
+    _require(substitute(vimg, {"v": vimg}, hat_amb) == vh,
+             "the deck involution does not square to the identity")
 
     amb = nf.F1.ambient
-    x, y, z, t, v, w = (amb.var(n) for n in X_NAMES)
-    sigma_prime = (x**3, x * y, z, x**2 * t,
-                   (x**2 * v).scale(Fraction(-1))
-                   - (x * y * z**2).scale(nf.lam))
-    sigma_prime_inverse = tuple(chi(entry)
-                                for entry in sigma_link.sigma_inverse)
-
+    x = amb.var("x")
     iota = involution_tuple(nf, sigma_link.sigma_inverse)
     imap = dict(zip(X_NAMES, iota))
     xwv = X_WPS.weight_vector()
@@ -1348,18 +1265,17 @@ def build_involutions(nf, sigma_link):
              " vanishing of lam")
     m = scale_degree - 1
     apply_iota = Substitution(amb, amb, imap)
-    eq1 = apply_iota(nf.F1) == nf.F1 * x**(12 * m)
-    eq2 = apply_iota(nf.F2) == nf.F2 * x**(14 * m)
-    _require(eq1, "the involution is not equivariant on F1")
-    _require(eq2, "the involution is not equivariant on F2")
+    _require(apply_iota(nf.F1) == nf.F1 * x**(12 * m),
+             "the involution is not equivariant on F1")
+    _require(apply_iota(nf.F2) == nf.F2 * x**(14 * m),
+             "the involution is not equivariant on F2")
     on_chart = Substitution(amb, amb, {"x": amb.one()})
     chart = {n: on_chart(e) for n, e in imap.items()}
     apply_chart = Substitution(amb, amb, chart)
-    square_ok = all(
-        apply_chart(chart[n]) == amb.var(n) for n in X_NAMES[1:]
-    ) and apply_chart(chart["x"]) == amb.one()
-    _require(square_ok, "the involution does not square to the identity"
-             " on the chart x = 1")
+    _require(all(apply_chart(chart[n]) == amb.var(n) for n in X_NAMES[1:])
+             and apply_chart(chart["x"]) == amb.one(),
+             "the involution does not square to the identity on the chart"
+             " x = 1")
 
     # germ filtration at qhat in the chart z = 1: weights (3,1,0,2,2)
     # on (u,y,z,t,v); v has valuation 2, its chi-image has valuation 1
@@ -1367,17 +1283,11 @@ def build_involutions(nf, sigma_link):
     wq = WeightVector((3, 1, 0, 2, 2), 1)
     val_v = vh.weight_of(wq)
     val_chi = vimg.weight_of(wq)
-    distinct = val_v != val_chi
-    _require(distinct == (hat.lam != 0),
+    _require((val_v != val_chi) == (hat.lam != 0),
              "the valuation witness disagrees with the vanishing of lam")
 
-    return InvolutionData(
-        chi=chi, chi_preserves_model=chi_fix, chi_squared_identity=chi_sq,
-        sigma_prime=sigma_prime, sigma_prime_inverse=sigma_prime_inverse,
-        iota=iota, scale_degree=scale_degree, equivariance=(eq1, eq2),
-        squared_identity=square_ok, valuations=(val_v, val_chi),
-        links_distinct=distinct, biregular=scale_degree == 1,
-    )
+    return InvolutionData(chi=chi, iota=iota, scale_degree=scale_degree,
+                          valuations=(val_v, val_chi))
 
 
 @record
@@ -1560,7 +1470,6 @@ def link_stages(F1, F2, samples=40, seed=0, field=None):
             detail="the weight-six germ blowup initiates the inverse"
                    " of sigma, landing back on X",
             target=X_SPEC,
-            target_equations=(nf.F1, nf.F2),
         ),
         extraction=hat_census.germ.row("E"),
     ))
@@ -1576,7 +1485,6 @@ def link_stages(F1, F2, samples=40, seed=0, field=None):
                        " the two extractions have different valuations"
                        " on v",
                 target=X_SPEC,
-                target_equations=(nf.F1, nf.F2),
             ),
             notes=("composing with sigma gives the birational involution"
                    " of X verified above",),

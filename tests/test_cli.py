@@ -624,6 +624,18 @@ class TestExitCodes:
         assert code == 3
         assert "internal inconsistency: expected the weight-11" in err
 
+    def test_seed_with_random_refused(self, member_path, capsys):
+        # verify-paper's --seed picks the member, as --random does, so
+        # the pair is refused rather than one of them dropped; --random
+        # with an input file is refused the same way
+        for argv in (["verify-paper", "--random", "7", "--seed", "3"],
+                     ["verify-paper", "--random", "7", "--seed", "0"],
+                     ["verify-paper", member_path, "--random", "7"]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 1
+            assert out == ""
+            assert "not both" in err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

@@ -121,8 +121,7 @@ class TestNormalForm:
         assert str(nf.a12) == "y^6 + y^4*t + y^2*t^2 + t^3"
         assert str(nf.b4) == "y^2 + t"
         assert str(nf.c12) == "y^6 + 2*t^3"
-        assert nf.certificate.resultant == -5
-        assert nf.certificate.ok
+        assert nf.resultant == -5
 
     def test_round_trip_is_recorded(self, amb, main_member, lam0_member,
                                     scrambled_member):
@@ -162,7 +161,7 @@ class TestNormalForm:
         assert back.b4 == nf.b4
         assert back.c12 == nf.c12
         assert back.lam == nf.lam
-        assert back.certificate.resultant == nf.certificate.resultant
+        assert back.resultant == nf.resultant
 
     def test_residual_v_scaling_gauge(self, nf, amb):
         # scaling v is the residual coordinate freedom: it multiplies
@@ -180,7 +179,9 @@ class TestNormalForm:
         for seed in (0, 1, 2):
             F1, F2 = random_member(seed)
             out = normal_form_X1214(F1, F2)
-            assert out.certificate.ok
+            assert out.mu != 0
+            assert not out.c12.is_zero()
+            assert out.resultant != 0
             assert out.F2.coefficient("v^2") == 1
             assert out.F1.coefficient("z^4") == 1
             assert out.F1.coefficient("w*x") == -1
@@ -274,8 +275,14 @@ class TestCensusX:
         quot = census.singular["w"]
         assert quot.type_label() == "1/11(1,2,9)"
         assert quot.is_terminal()
-        assert census.stratum["empty"]
-        assert census.sampled_quasismooth
+        assert census.samples == 10
+        # the (y, t)-stratum: F1 and F2 restrict to a12 and y*c12, whose
+        # only common zero is y = t = 0
+        amb = nf.F1.ambient
+        stratum = {"x": 0, "z": 0, "v": 0, "w": 0}
+        assert substitute(nf.F1, stratum, amb) == nf.a12
+        assert substitute(nf.F2, stratum, amb) == amb.var("y") * nf.c12
+        assert nf.mu != 0 and nf.resultant != 0
 
     def test_census_derives_the_jacobian_once(self, nf, monkeypatch):
         calls = []
@@ -287,7 +294,7 @@ class TestCensusX:
 
         monkeypatch.setattr(qpoly, "jacobian", counted)
         census = singularity_census_X(nf, samples=20)
-        assert census.sampled_quasismooth
+        assert census.samples == 20
         assert calls == [2]
 
     def test_census_random(self):
@@ -335,6 +342,22 @@ class TestSigmaLink:
         assert cones.anticanonical_in_mov_interior
         assert cones.wall_reports[0].isomorphism
         assert not cones.wall_reports[1].isomorphism
+
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    @pytest.mark.parametrize("index, monomial", [(0, "y^6"), (1, "y^7")],
+                             ids=["F1-y6", "F2-y7"])
+    def test_first_wall_on_boundary_members(self, seed, index, monomial):
+        # a boundary member: on t = 0 the first wall's binary pair a12,
+        # y*c12 keeps only F2's y^7 or F1's y^6, which forces y = 0 too
+        nf = normal_form_X1214(*random_member(seed))
+        pair = [nf.F1, nf.F2]
+        pair[index] = _drop(pair[index], monomial)
+        link = construct_link_sigma(normal_form_X1214(*pair))
+        wall = link.cones.wall_reports[0]
+        for cert in (wall.plus_certificate, wall.minus_certificate):
+            assert cert.empty
+            assert cert.reason == ("scale-invariant equations in (t,y)"
+                                   " only vanish at the origin")
 
     def test_extraction_discrepancy(self, sigma):
         assert sigma.extraction.discrepancy == Fraction(1, 11)
@@ -385,7 +408,37 @@ class TestCensusHatX:
         assert census.qhat.on_variety and not census.qhat.quasismooth
         labels = {n: q.type_label() for n, q in census.singular.items()}
         assert labels == {"t": "1/2(1,1,1)", "v": "1/3(1,1,2)"}
-        assert census.curve["quasismooth_away_from_qhat"]
+        # the curve u = y = t = 0 lies on the model, and along it the
+        # only nonvanishing restricted derivative is v^2 in the u-slot
+        hamb = sigma.hat.F.ambient
+        assert substitute(sigma.hat.F, {"u": 0, "y": 0, "t": 0},
+                          hamb).is_zero()
+        _, entries = singular.quasismooth_on_stratum(
+            (sigma.hat.F,), ("u", "y", "t"))
+        assert [e[1:] for e in entries] == [("u", hamb.parse("v^2"))]
+
+    @pytest.mark.parametrize("seed", [156, 741, 880])
+    def test_u_point_on_model_rejected(self, seed):
+        # dense members whose normalized F2 has no x^14: the u-point lies
+        # on the model.  Whether such members are solid is still open,
+        # so the gate stays.
+        nf = normal_form_X1214(*random_member(seed))
+        assert nf.F2.coefficient("x^14") == 0
+        link = construct_link_sigma(nf)
+        with pytest.raises(CertificateError, match="the u-coordinate point"
+                           " lies on the degree-7 model"):
+            singularity_census_hatX(link.hat)
+
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_y_point_on_model_rejected(self, seed):
+        # a boundary member: without y^7 in F2, c12 has no y^6 and the
+        # y-point lies on the model
+        nf = normal_form_X1214(*random_member(seed))
+        link = construct_link_sigma(
+            normal_form_X1214(nf.F1, _drop(nf.F2, "y^7")))
+        with pytest.raises(CertificateError, match="the y-coordinate point"
+                           " lies on the degree-7 model"):
+            singularity_census_hatX(link.hat)
 
     def test_uncertified_E_divisor_rejects(self, sigma, monkeypatch):
         # E, the extraction of the sigma-inverse link, must be certified
@@ -442,6 +495,12 @@ class TestExclusions:
         expected = camb.parse(
             "x^5*y + w^2 + x^2*z*w + x^3*z^3 + x^3*z*t")
         assert cond.h == expected
+        # the weight-six part of the w2 filtration is x*g6 + y*H, and the
+        # x^4 slot of the w1 part is y*g2, empty for this member
+        assert cond.H == camb.parse("x^4*y^2")
+        assert cond.g2.is_zero()
+        assert cond.w1.nums == (4, 1, 0, 2, 1)
+        assert cond.w2.nums == (2, 1, 0, 2, 1)
 
     def test_blowup_4121(self, sigma):
         r1, _ = run_exclusion_blowups(sigma.hat)
@@ -500,18 +559,23 @@ class TestExclusions:
 class TestCurves:
     def test_main(self, nf, sigma):
         out = exclude_degree_one_curves(sigma.hat)
-        assert out.ok
-        assert out.graph["top_bucket"] == 5
-        assert out.graph["alpha"] == 1
+        hamb = sigma.hat.F.ambient
+        assert out.section == hamb.parse("z*t^3").scale(nf.mu)
+        assert out.alpha == 1
         # a6 and c6 are a12 and c12 renamed: the normal form's resultant
-        assert out.common_root["resultant"] == nf.certificate.resultant
-        assert out.common_root["resultant"] != 0
+        # certifies that they share no root
+        assert sigma.hat.a6.rename(nf.F1.ambient) == nf.a12
+        assert sigma.hat.c6.rename(nf.F1.ambient) == nf.c12
+        assert nf.resultant != 0
 
     def test_random(self):
         F1, F2 = random_member(9)
         out = normal_form_X1214(F1, F2)
         link = construct_link_sigma(out)
-        assert exclude_degree_one_curves(link.hat).ok
+        curves = exclude_degree_one_curves(link.hat)
+        hamb = link.hat.F.ambient
+        assert curves.section == hamb.parse("z*t^3").scale(out.mu)
+        assert curves.alpha == link.hat.F.coefficient("u^2*z^5") != 0
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +585,24 @@ class TestCurves:
 class TestInvolutions:
     def test_chi_and_iota(self, nf, sigma):
         data = build_involutions(nf, sigma)
-        assert data.chi_preserves_model
-        assert data.chi_squared_identity
-        assert data.squared_identity
+        hat = sigma.hat
+        assert data.chi(hat.F) == hat.F
+        assert [data.chi(img) for img in data.chi.images] == [
+            hat.F.ambient.var(n) for n in HAT_WPS.names]
         assert data.scale_degree == 2
-        assert data.links_distinct
+        # the two extractions over qhat differ: v and its chi-image have
+        # different valuations
         assert data.valuations == (Fraction(2), Fraction(1))
         amb = nf.F1.ambient
+        x = amb.var("x")
+        imap = dict(zip(amb.names, data.iota))
+        assert substitute(nf.F1, imap, amb) == nf.F1 * x**12
+        assert substitute(nf.F2, imap, amb) == nf.F2 * x**14
+        on_chart = {n: substitute(e, {"x": 1}, amb)
+                    for n, e in imap.items()}
+        assert [substitute(on_chart[n], on_chart, amb)
+                for n in amb.names] == [amb.one()] + [
+                    amb.var(n) for n in amb.names[1:]]
         expected = (
             amb.parse("x^2"), amb.parse("x^2*y"), amb.parse("x^3*z"),
             amb.parse("x^4*t"), amb.parse("-x^7*v - x^6*y*z^2"),
@@ -540,8 +615,8 @@ class TestInvolutions:
         link = construct_link_sigma(out)
         data = build_involutions(out, link)
         amb = out.F1.ambient
-        assert data.biregular
-        assert not data.links_distinct
+        assert data.scale_degree == 1
+        assert data.valuations == (Fraction(2), Fraction(2))
         assert data.iota == (amb.parse("x"), amb.parse("y"),
                              amb.parse("z"), amb.parse("t"),
                              amb.parse("-v"), amb.parse("w"))
@@ -658,6 +733,11 @@ class TestClassification:
         assert cls.sigma is art["sigma"]
         assert cls.involution_check is art["involution-check"]
         assert cls.exclusions is art["exclusions"]
+        assert cls.census is art["census"]
+        assert cls.hat_census is art["hat-census"]
+        assert cls.condition is art["condition"]
+        assert cls.curves is art["curves"]
+        assert cls.involutions is art["involutions"]
         assert art["census"].samples == 5
         assert art["involution-check"].samples == 5
 

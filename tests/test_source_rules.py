@@ -2,9 +2,11 @@
 
 Only qpoly.py knows how a polynomial stores its terms: every other module
 reads them through QPolynomial.items(), so a change of representation
-stays inside qpoly.py.  And no check of the package is an `assert`
-statement, which `python -O` strips.  This test parses each module with
-`ast`; it imports nothing from the package.
+stays inside qpoly.py.  No check of the package is an `assert`
+statement, which `python -O` strips.  And every field of a record of
+links.py is read, as an attribute of its name, somewhere in src/, tests/
+or bench/, so a stage record holds nothing that no code uses.  This test
+parses the sources with `ast`; it imports nothing from the package.
 """
 
 import ast
@@ -12,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    (Path(__file__).resolve().parent.parent / "src" / "wcilinks").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "wcilinks").glob("*.py"))
 
 
 def _tree(path):
@@ -37,3 +39,28 @@ def test_no_assert_statements(path):
     asserts = [node.lineno for node in ast.walk(_tree(path))
                if isinstance(node, ast.Assert)]
     assert not asserts, f"{path.name} has assert statements at {asserts}"
+
+
+def _record_fields(tree):
+    """(class, field) for each annotated field of a @record class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "record"
+                for d in node.decorator_list):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign):
+                    yield node.name, stmt.target.id
+
+
+def test_every_stage_record_field_is_read():
+    reads = set()
+    for folder in ("src", "tests", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            reads.update(node.attr for node in ast.walk(_tree(path))
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Load))
+    fields = list(_record_fields(_tree(ROOT / "src" / "wcilinks"
+                                       / "links.py")))
+    assert fields
+    unread = [f"{cls}.{name}" for cls, name in fields if name not in reads]
+    assert not unread, f"record fields nobody reads: {unread}"
