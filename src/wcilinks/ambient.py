@@ -656,19 +656,10 @@ def run_two_ray_game(toric):
 
 @record
 class EmptinessCertificate:
-    """A proof tree that a locus has no stable points, or a failure note."""
+    """Whether a locus has no stable points, with the rule that decided."""
 
     empty: bool
     reason: str
-    children: tuple = ()
-
-    def render(self, indent=0):
-        pad = "  " * indent
-        mark = "empty" if self.empty else "UNCERTIFIED"
-        lines = [f"{pad}[{mark}] {self.reason}"]
-        for child in self.children:
-            lines.append(child.render(indent + 1))
-        return "\n".join(lines)
 
 
 def _restrict(eq, dead, ambient):
@@ -743,20 +734,12 @@ def certify_stratum_empty(equations, dead, left, right, depth=16):
             if eq.is_monomial():
                 occurring = eq.variables()
                 support = [n for n in ambient.names if n in occurring]
-                children = []
-                ok = True
-                for v in support:
-                    child = recurse(dead | {v}, depth - 1)
-                    children.append(child)
-                    if not child.empty:
-                        ok = False
-                        break
-                if ok:
+                if all(recurse(dead | {v}, depth - 1).empty
+                       for v in support):
                     return EmptinessCertificate(
                         True,
                         f"monomial equation {eq} forces a coordinate of"
                         f" {support} to vanish",
-                        tuple(children),
                     )
         if not eqs:
             return EmptinessCertificate(
@@ -775,12 +758,10 @@ def certify_stratum_empty(equations, dead, left, right, depth=16):
                         True, f"equations in {p} alone have no common root"
                     )
                 if g.is_monomial() and g.total_degree() >= 1:
-                    child = recurse(dead | {p}, depth - 1)
-                    if child.empty:
+                    if recurse(dead | {p}, depth - 1).empty:
                         return EmptinessCertificate(
                             True,
                             f"common root of the equations in {p} is only {p} = 0",
-                            (child,),
                         )
         if len(used) == 2:
             p, q = sorted(used)
@@ -808,24 +789,19 @@ def certify_stratum_empty(equations, dead, left, right, depth=16):
                     if pure:
                         # every nonzero restriction is c*q^k with k >= 1, so
                         # q vanishes as well
-                        if all(e.is_monomial() for e in pure):
-                            child = recurse(dead | {p, q}, depth - 1)
-                            if child.empty:
-                                return EmptinessCertificate(
-                                    True,
-                                    f"scale-invariant equations in ({p},{q})"
-                                    f" only vanish at the origin",
-                                    (child,),
-                                )
-                    else:
-                        child = recurse(dead | {p}, depth - 1)
-                        if child.empty:
+                        if (all(e.is_monomial() for e in pure)
+                                and recurse(dead | {p, q}, depth - 1).empty):
                             return EmptinessCertificate(
                                 True,
-                                f"scale-invariant equations in ({p},{q}) have"
-                                f" no root with {p} nonzero",
-                                (child,),
+                                f"scale-invariant equations in ({p},{q})"
+                                f" only vanish at the origin",
                             )
+                    elif recurse(dead | {p}, depth - 1).empty:
+                        return EmptinessCertificate(
+                            True,
+                            f"scale-invariant equations in ({p},{q}) have"
+                            f" no root with {p} nonzero",
+                        )
                 if g is not None and not g.is_constant():
                     return EmptinessCertificate(
                         False,

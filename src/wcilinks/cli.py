@@ -440,6 +440,8 @@ def _parse_weight_flags(args, spec):
         key = key.strip()
         if key not in spec.wps.names or key == args.center:
             raise CliError(f"bad blowup weight name {key!r}")
+        if key in weights:
+            raise CliError(f"blowup weight {key!r} given twice")
         try:
             weights[key] = int(val)
         except ValueError as exc:

@@ -80,7 +80,6 @@ __all__ = [
     "CensusHatX",
     "CensusX",
     "CertificateError",
-    "ConditionReport",
     "CurveExclusion",
     "HAT_WPS",
     "InconsistencyError",
@@ -503,7 +502,6 @@ class CensusX:
     """Singular locus of the member, with sampled smoothness evidence."""
 
     spec: WCISpec
-    reports: tuple
     singular: dict
     samples: int
 
@@ -572,8 +570,7 @@ def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, sampler=None):
                  "a sampled point of the member is not quasismooth",
                  CertificateError)
 
-    return CensusX(spec=nf.spec, reports=reports, singular=singular,
-                   samples=samples)
+    return CensusX(spec=nf.spec, singular=singular, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +581,6 @@ def singularity_census_X(nf, samples=CENSUS_SAMPLES, seed=0, sampler=None):
 class NormalFormHatX:
     """The degree-7 model in P(1,1,1,2,3), split into named pieces."""
 
-    spec: WCISpec
     F: QPolynomial
     W: QPolynomial
     a6: QPolynomial
@@ -749,8 +745,8 @@ def construct_link_sigma(nf):
         _require(entry.quasi_homogeneous_degree(hat_wv) == xw,
                  "the inverse of sigma is not graded with factor 1")
 
-    hat = NormalFormHatX(spec=HAT_SPEC, F=F, W=W, a6=a6, b2=b2, c6=c6,
-                         g6=g6, lam=nf.lam, mu=nf.mu)
+    hat = NormalFormHatX(F=F, W=W, a6=a6, b2=b2, c6=c6, g6=g6, lam=nf.lam,
+                         mu=nf.mu)
     report = LinkReport(
         name="sigma",
         center="the 1/11(1,2,9) point of X",
@@ -777,7 +773,6 @@ def construct_link_sigma(nf):
 class CensusHatX:
     """Singular locus of the degree-7 model, with the germ table."""
 
-    spec: WCISpec
     reports: dict
     singular: dict
     qhat: object
@@ -848,42 +843,12 @@ def singularity_census_hatX(hat):
              f"expected {expected} divisors of discrepancy one over"
              f" qhat, found {analysis.low_discrepancy_count}")
 
-    return CensusHatX(spec=hat.spec, reports=reports, singular=singular,
-                      qhat=reports["z"], germ=analysis)
+    return CensusHatX(reports=reports, singular=singular, qhat=reports["z"],
+                      germ=analysis)
 
 
 # ---------------------------------------------------------------------------
 # the exclusion condition at qhat
-
-
-@record
-class ConditionReport:
-    """Weighted-filtration shape of the model at qhat.
-
-    The two filtrations are taken in coordinates (y, z, x, t, w)
-    renaming (u, y, z, t, v), so that qhat becomes the x-coordinate
-    point; their weights are w1 = (4,1,0,2,1) and w2 = (2,1,0,2,1).
-    """
-
-    wps: WPS
-    F: QPolynomial
-    w1: WeightVector
-    w2: WeightVector
-    gates: dict
-    strict: dict
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    mu: Fraction
-    g2: QPolynomial | None
-    g6: QPolynomial | None
-    h: QPolynomial | None
-    H: QPolynomial | None
-
-    @property
-    def holds(self):
-        return all(self.gates.values())
-
 
 _COND_WPS = WPS((1, 1, 1, 2, 3), ("y", "z", "x", "t", "w"))
 
@@ -892,85 +857,60 @@ _COND_WPS = WPS((1, 1, 1, 2, 3), ("y", "z", "x", "t", "w"))
 _WEIGHTS1 = {"y": 4, "z": 1, "t": 2, "w": 1}
 _WEIGHTS2 = {"y": 2, "z": 1, "t": 2, "w": 1, "s": 4}
 
-# admissible weight-6 monomials of the first filtration: beta*y*w^2,
-# gamma*x^2*y*z*w, x^4*y*g2(z^2, t) and x*g6(z^2, t)
-_W1_SLOTS = frozenset(
-    [(1, 0, 0, 0, 2), (1, 1, 2, 0, 1), (1, 2, 4, 0, 0), (1, 0, 4, 1, 0)]
-    + [(0, 6 - 2 * d, 1, d, 0) for d in range(4)]
-)
-
 
 def condition_check(hat):
-    """Check the filtration condition of the model at qhat.
+    """The model at qhat in exclusion coordinates, and h = (F4 + F5)/y.
 
-    Gates: qhat on the model; w1-order exactly six with the weight-six
-    part supported on the admissible slots, with beta != 0, g6 != 0,
-    mu != 0 and the weight-six part irreducible; w2-order exactly four
-    with the weight-four and weight-five parts divisible by y and the
-    coefficient alpha of x^5*y^2 nonzero; and the weight-six part of w2
-    congruent to x*g6 modulo y.  The strict flags record whether the
-    weight-four part is exactly alpha*x^5*y^2 + beta*y*w^2 and the
-    weight-five part vanishes; both can fail for general members
-    without affecting the exclusions, which only need h = (F4 + F5)/y.
+    The coordinates (y, z, x, t, w) rename (u, y, z, t, v), so that qhat
+    is the x-coordinate point.  Returns (F, h): F the renamed model, and
+    y*h the sum F4 + F5 of its parts of weight four and five for
+    w2 = (2,1,0,2,1), the weights of the (2,1,2,1,4) blowup, which
+    run_exclusion_blowups re-embeds by s = h.
+
+    Nothing here can fail on a model that construct_link_sigma accepted.
+    Its reassembly identity reads, in these coordinates,
+
+        F = x*a6(z,t) + z*c6(z,t) + y*w^2 + lam*x^2*y*z*w + x^5*y^2
+            + x^3*y*z*b2(z,t) + y*g6,
+
+    and by its chart identity a monomial x^a*y^b*z^c*t^d of g14 gives
+    the monomial y^(7-s)*z^b*x^c*t^d of y*g6, with s = b + c + 2*d.  Here
+    s <= 6, since construct_link_sigma divides u*g6 by u exactly (the
+    normal form's bound on g14), and a = 14 - 2*b - 3*c - 4*d >= 0 gives
+    c <= 4, with c = 4 only if b + 2*d <= 1.  So a monomial of y*g6 has
+    weight 28 - 3*s - c >= 7 for w1 = (4,1,0,2,1), the weights of the
+    (4,1,2,1) blowup, and weight 14 - s - c >= 5 for w2.  Hence:
+
+      * the w1-part of weight six is F6 = y*w^2 + lam*x^2*y*z*w + x*a6,
+        and F6 at x = 1 is the exceptional equation of the (4,1,2,1)
+        blowup;
+      * the w2-part of weight four is y*w^2 + x^5*y^2 + lam*x^2*y*z*w;
+        x*a6 and z*c6 have w2-weights 6 and 7, and every other term is
+        divisible by y, so y divides F4 + F5.
+
+    The gates this check once kept, and their fates.  Gone, as the
+    identity forces them: w1_support, beta_nonzero (beta = 1, y*w^2),
+    alpha_nonzero (alpha = 1, x^5*y^2), g6_nonzero (that g6 is a6) and
+    w2_order_four.  Gone, as another stage requires them:
+    center_on_model (construct_link_sigma puts qhat on the model),
+    mu_nonzero (normal_form_X1214), w1_order_six (_not_a_link requires
+    the discrepancy 7 - order to be one) and w1_part_irreducible
+    (_not_a_link requires the same exceptional equation certified
+    irreducible).  Gone with H, the only thing it guarded:
+    w2_six_residual_divisible.  The strict flags w2_four_exact and
+    w2_five_zero gated nothing.  Kept, as an InconsistencyError, since
+    h needs the division: w2_low_divisible_by_y.
     """
     camb = _COND_WPS.ambient(hat.F.ambient.field)
-    Fc = hat.F.rename(
+    F = hat.F.rename(
         camb, {"u": "y", "y": "z", "z": "x", "t": "t", "v": "w"})
-    field = camb.field
-    yv, zv, xv, tv, wv = (camb.var(n) for n in _COND_WPS.names)
-    w1 = blowup_weight_vector(_COND_WPS, "x", _WEIGHTS1)
     w2 = blowup_weight_vector(_COND_WPS, "x", _WEIGHTS2)
-
-    gates = {}
-    strict = {}
-    gates["center_on_model"] = field.is_zero(Fc.coefficient((0, 0, 7, 0, 0)))
-    gates["w1_order_six"] = Fc.weight_of(w1) == 6
-    F6 = Fc.w_component(w1, 6)
-    gates["w1_support"] = all(m in _W1_SLOTS for m, _ in F6.items())
-    beta = Fc.coefficient((1, 0, 0, 0, 2))
-    gamma = Fc.coefficient((1, 1, 2, 0, 1))
-    gates["beta_nonzero"] = not field.is_zero(beta)
-    w0slot = F6.coefficient_of_power("w", 0)
-    g6 = w0slot.coefficient_of_power("x", 1)
-    x4 = w0slot.coefficient_of_power("x", 4)
-    g2 = divexact(x4, yv) if divides(yv, x4) else None
-    gates["g6_nonzero"] = not g6.is_zero()
-    mu = g6.coefficient((0, 0, 0, 3, 0))
-    gates["mu_nonzero"] = not field.is_zero(mu)
-    # Every verdict of the pipeline is decided by a deterministic rule on a
-    # member past the normal form's gates.  F6, which is also the
-    # exceptional equation of the (4,1,2,1) blowup, is
-    # y*w^2 + gamma*x^2*y*z*w + x^4*y*g2 + x*g6: quadratic in w with
-    # coprime coefficients (the y*w^2 coefficient is the u*v^2 coefficient
-    # of the model, 1), and its discriminant has t-degree exactly 3, with
-    # t^3 coefficient -4*mu*x*y and mu != 0.  The exceptional model of the
-    # (2,1,2,1,4) blowup is linear in s.  The cE6 E-part at qhat is linear
-    # in t with coefficient lam*x*z when lam != 0, and for lam = 0 it is
-    # quadratic in x with a discriminant of y-degree 3.
-    verdict6 = irreducibility_verdict(F6)
-    gates["w1_part_irreducible"] = verdict6.is_irreducible
-
-    gates["w2_order_four"] = Fc.weight_of(w2) == 4
-    F4 = Fc.w_component(w2, 4)
-    F5 = Fc.w_component(w2, 5)
-    gates["w2_low_divisible_by_y"] = divides(yv, F4) and divides(yv, F5)
-    alpha = Fc.coefficient((2, 0, 5, 0, 0))
-    gates["alpha_nonzero"] = not field.is_zero(alpha)
-    strict["w2_four_exact"] = F4 == (
-        camb.monomial((2, 0, 5, 0, 0), alpha)
-        + camb.monomial((1, 0, 0, 0, 2), beta))
-    strict["w2_five_zero"] = F5.is_zero()
-    h = divexact(F4 + F5, yv) if gates["w2_low_divisible_by_y"] else None
-
-    F6w2 = Fc.w_component(w2, 6)
-    residual = F6w2 - xv * g6
-    gates["w2_six_residual_divisible"] = divides(yv, residual)
-    H = divexact(residual, yv) if gates["w2_six_residual_divisible"] else None
-
-    return ConditionReport(
-        wps=_COND_WPS, F=Fc, w1=w1, w2=w2, gates=gates, strict=strict,
-        alpha=alpha, beta=beta, gamma=gamma, mu=mu, g2=g2, g6=g6, h=h, H=H,
-    )
+    low = F.w_component(w2, 4) + F.w_component(w2, 5)
+    yv = camb.var("y")
+    _require(divides(yv, low),
+             "the weight-four and weight-five parts at qhat are not"
+             " divisible by y")
+    return F, divexact(low, yv)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,28 +961,32 @@ def _not_a_link(center, rec, agree, cones, exceptional, notes):
     )
 
 
-def run_exclusion_blowups(hat, condition=None):
+def run_exclusion_blowups(hat):
     """Certify the two exceptional weighted blowups at qhat.
 
     The (4,1,2,1) blowup runs directly; the (2,1,2,1,4) blowup needs the
-    re-embedding F = y*s + G, s = h with h = (F4 + F5)/y, verified
-    exactly.  For both, the discrepancy is one (cross-checked against
-    blowup charts), the exceptional divisor is irreducible, and the
-    two-ray game of the blowup puts the anticanonical class on the
-    boundary of the movable cone, which rules the blowup out as the
-    start of an elementary link.
+    re-embedding F = y*s + G, s = h with h = (F4 + F5)/y from
+    condition_check, verified exactly.  For both, the discrepancy is one
+    (cross-checked against blowup charts), the exceptional divisor is
+    irreducible, and the two-ray game of the blowup puts the
+    anticanonical class on the boundary of the movable cone, which rules
+    the blowup out as the start of an elementary link.
     """
-    cond = condition or condition_check(hat)
-    if not cond.holds:
-        failed = [k for k, ok in cond.gates.items() if not ok]
-        raise CertificateError(
-            f"the filtration condition fails at qhat: {failed}")
-    Fc = cond.F
+    Fc, h = condition_check(hat)
     camb = Fc.ambient
     field = camb.field
     center = "qhat, the compound E6 point of the degree-7 model"
 
-    # first blowup: directly, in the chart x = 1
+    # first blowup: directly, in the chart x = 1.  Every verdict of the
+    # pipeline is decided by a deterministic rule on a member past the
+    # normal form's gates.  The exceptional equation here is
+    # y*w^2 + lam*y*z*w + a6(z, t) (see condition_check): quadratic in w
+    # with coprime coefficients, and its discriminant has t-degree
+    # exactly 3, with t^3 coefficient -4*mu*y and mu != 0.  The
+    # exceptional model of the (2,1,2,1,4) blowup is linear in s.  The
+    # cE6 E-part at qhat is linear in t with coefficient lam*x*z when
+    # lam != 0, and for lam = 0 it is quadratic in x with a discriminant
+    # of y-degree 3.
     rec1, _, agree1 = blowup_at_point(_COND_WPS, (Fc,), "x", _WEIGHTS1)
     exc1 = irreducibility_verdict(rec1.exceptional_equations[0])
     _, _, cones1 = blowup_game(_COND_WPS, (Fc,), "x", _WEIGHTS1)
@@ -1053,7 +997,6 @@ def run_exclusion_blowups(hat, condition=None):
         ("discrepancy one, exceptional divisor irreducible",))
 
     # second blowup: after re-embedding by s = h
-    h = cond.h
     yv = camb.var("y")
     G = Fc - yv * h
     ext_wps = WPS((1, 1, 1, 2, 3, 6), ("y", "z", "x", "t", "w", "s"))
@@ -1074,7 +1017,7 @@ def run_exclusion_blowups(hat, condition=None):
              " (2,1,2,1,4) blowup")
 
     # exceptional model: eliminate y from the second lowest-weight
-    # equation, whose y-coefficient is the unit -alpha
+    # equation s - h, whose y-coefficient is -1, from the x^5*y of h
     low1, low2 = rec2.exceptional_equations
     ycoeff = low2.coefficient_of_power("y", 1)
     _require(low2.degree_in("y") <= 1 and ycoeff.is_constant()
@@ -1352,7 +1295,6 @@ class LinkClassification:
     census: CensusX
     sigma: SigmaLink
     hat_census: CensusHatX
-    condition: ConditionReport
     exclusions: tuple
     curves: CurveExclusion
     involutions: InvolutionData
@@ -1370,8 +1312,8 @@ def link_stages(F1, F2, samples=40, seed=0, field=None):
     """Run the pipeline on a degree-(12, 14) member, one stage at a time.
 
     Yields (name, artifact) as each stage completes, in this order:
-    "normal-form", "census", "sigma", "hat-census", "condition",
-    "exclusions", "curves", "involutions", "involution-check", and last
+    "normal-form", "census", "sigma", "hat-census", "exclusions",
+    "curves", "involutions", "involution-check", and last
     "classification", whose artifact is the assembled
     LinkClassification.  A consumer that stops early skips the later
     stages; a stage that fails raises, so the stages seen before it are
@@ -1402,9 +1344,7 @@ def link_stages(F1, F2, samples=40, seed=0, field=None):
     hat = sigma.hat
     hat_census = singularity_census_hatX(hat)
     yield "hat-census", hat_census
-    condition = condition_check(hat)
-    yield "condition", condition
-    exclusions = run_exclusion_blowups(hat, condition)
+    exclusions = run_exclusion_blowups(hat)
     yield "exclusions", exclusions
     curves = exclude_degree_one_curves(hat)
     yield "curves", curves
@@ -1510,7 +1450,7 @@ def link_stages(F1, F2, samples=40, seed=0, field=None):
     )
     yield "classification", LinkClassification(
         normal_form=nf, census=census, sigma=sigma,
-        hat_census=hat_census, condition=condition, exclusions=exclusions,
+        hat_census=hat_census, exclusions=exclusions,
         curves=curves, involutions=involutions,
         involution_check=inv_check, reports=tuple(reports),
         germ_count=germ_count, divisor_links=divisor_links,

@@ -17,7 +17,6 @@ from wcilinks.links import (
     X_WPS,
     build_involutions,
     classify_links,
-    condition_check,
     construct_link_sigma,
     normal_form_X1214,
     random_member,
@@ -80,8 +79,7 @@ def _sigma(lam0=False):
 
 @lru_cache(maxsize=None)
 def _exclusions():
-    hat = _sigma().hat
-    return run_exclusion_blowups(hat, condition_check(hat))
+    return run_exclusion_blowups(_sigma().hat)
 
 
 def test_criterion_1_census_of_random_members():

@@ -1,5 +1,6 @@
 """Command-line interface: input validation, reports, exit codes."""
 
+import glob
 import hashlib
 import io
 import json
@@ -519,12 +520,9 @@ class TestDeterminism:
                                        if m != sys.version_info.minor])
     def test_frozen_report_bytes_across_versions(self, minor):
         # the same bytes under every other CPython the package supports
-        exe = shutil.which(f"python3.{minor}")
-        if exe is None or subprocess.run(
-                [exe, "-c", f"import sys; sys.exit(sys.version_info[:2]"
-                            f" != (3, {minor}))"],
-                capture_output=True, timeout=60).returncode != 0:
-            pytest.skip(f"no working python3.{minor} on PATH")
+        exe = _interpreter(minor)
+        if exe is None:
+            pytest.skip(f"no python3.{minor} installed")
         src = os.path.dirname(os.path.dirname(wcilinks.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         for name in ("verify-7", "verify-462-rejected", "link-7"):
@@ -533,6 +531,28 @@ class TestDeterminism:
                                   env=env, capture_output=True, timeout=120)
             assert done.returncode == code, done.stderr
             assert hashlib.sha256(done.stdout).hexdigest()[:16] == digest
+
+
+def _interpreter(minor):
+    """A working python3.<minor>: the one on PATH, else one pyenv installed.
+
+    A pyenv shim on PATH refuses a version other than the selected one,
+    so the versions pyenv installed are tried by their own paths.
+    """
+    candidates = [shutil.which(f"python3.{minor}")]
+    pyenv = shutil.which("pyenv")
+    if pyenv is not None:
+        root = subprocess.run([pyenv, "root"], capture_output=True,
+                              text=True, timeout=60).stdout.strip()
+        candidates += sorted(glob.glob(os.path.join(
+            root, "versions", f"3.{minor}.*", "bin", f"python3.{minor}")))
+    check = f"import sys; sys.exit(sys.version_info[:2] != (3, {minor}))"
+    for exe in candidates:
+        if exe is not None and subprocess.run(
+                [exe, "-c", check], capture_output=True,
+                timeout=60).returncode == 0:
+            return exe
+    return None
 
 
 class TestExitCodes:
@@ -557,6 +577,14 @@ class TestExitCodes:
             ["blowup", cond_path, "--center", "x", "--weights", "y=4"],
             capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["blowup", "two-ray"])
+    def test_repeated_weight_name(self, command, capsys):
+        code, _, err = run_cli(
+            [command, "--random", "7", "--center", "x", "--weights",
+             "y=4,z=1,t=2,v=1,w=1,y=9"], capsys)
+        assert code == 1
+        assert "blowup weight 'y' given twice" in err
 
     def test_qsmooth_needs_an_equation(self, tmp_path, capsys):
         doc = tmp_path / "empty.json"

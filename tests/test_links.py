@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from wcilinks import links, qpoly, singular
-from wcilinks.ambient import ConeZ2, DivisorClass
+from wcilinks.ambient import ConeZ2, DivisorClass, blowup_weight_vector
 from wcilinks.links import (
     CENSUS_SAMPLES,
     CITATIONS,
@@ -476,31 +476,61 @@ class TestCensusHatX:
 # the condition and the exclusion blowups
 
 
+def _boundary_model(seed, index, monomial):
+    """The model of the normal form of seed without one monomial."""
+    nf = normal_form_X1214(*random_member(seed))
+    pair = [nf.F1, nf.F2]
+    if monomial is not None:
+        pair[index] = _drop(pair[index], monomial)
+    return construct_link_sigma(normal_form_X1214(*pair)).hat
+
+
 class TestExclusions:
-    def test_condition_gates(self, sigma):
-        cond = condition_check(sigma.hat)
-        assert cond.holds
-        assert cond.alpha == 1
-        assert cond.beta == 1
-        assert cond.gamma == sigma.hat.lam
-        assert cond.mu == 1
-        # the strict textbook shapes fail for general members; only the
-        # y-divisibility needed by the re-embedding is required
-        assert not cond.strict["w2_four_exact"]
-        assert not cond.strict["w2_five_zero"]
+    def test_condition_gates(self, sigma, monkeypatch):
+        # the one gate left guards the division by y, which sigma's
+        # reassembly identity makes exact, so it fails only as an
+        # internal inconsistency
+        monkeypatch.setattr(links, "divides", lambda b, a: False)
+        with pytest.raises(InconsistencyError, match="not divisible by y"):
+            condition_check(sigma.hat)
 
     def test_condition_h(self, sigma):
-        cond = condition_check(sigma.hat)
-        camb = cond.F.ambient
-        expected = camb.parse(
-            "x^5*y + w^2 + x^2*z*w + x^3*z^3 + x^3*z*t")
-        assert cond.h == expected
-        # the weight-six part of the w2 filtration is x*g6 + y*H, and the
-        # x^4 slot of the w1 part is y*g2, empty for this member
-        assert cond.H == camb.parse("x^4*y^2")
-        assert cond.g2.is_zero()
-        assert cond.w1.nums == (4, 1, 0, 2, 1)
-        assert cond.w2.nums == (2, 1, 0, 2, 1)
+        F, h = condition_check(sigma.hat)
+        camb = F.ambient
+        assert camb.names == ("y", "z", "x", "t", "w")
+        assert F == sigma.hat.F.rename(
+            camb, {"u": "y", "y": "z", "z": "x", "t": "t", "v": "w"})
+        assert h == camb.parse("x^5*y + w^2 + x^2*z*w + x^3*z^3 + x^3*z*t")
+
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    @pytest.mark.parametrize("index, monomial", [
+        (0, None), (0, "y*z*v"), (0, "z^2*y*t"), (1, "y*z^4"),
+        (1, "x^2*z^4")], ids=["member", "F1-yzv", "F1-z2yt", "F2-yz4",
+                              "F2-x2z4"])
+    def test_filtration_shape(self, seed, index, monomial):
+        # what replaced the gates of condition_check: the model splits as
+        # x*a6 + z*c6 + y*R, its w1-part of weight six is
+        # y*w^2 + lam*x^2*y*z*w + x*a6 (so alpha = beta = 1 and the
+        # w1-order is six), and that part at x = 1 is the exceptional
+        # equation of the (4,1,2,1) blowup
+        hat = _boundary_model(seed, index, monomial)
+        F, h = condition_check(hat)
+        camb = F.ambient
+        y, z, x, w = (camb.var(n) for n in "yzxw")
+        names = {"u": "y", "y": "z", "z": "x", "t": "t", "v": "w"}
+        a6, c6 = (p.rename(camb, names) for p in (hat.a6, hat.c6))
+        assert qpoly.divides(y, F - x * a6 - z * c6)
+        assert F.coefficient("x^5*y^2") == F.coefficient("y*w^2") == 1
+        w1 = blowup_weight_vector(links._COND_WPS, "x", links._WEIGHTS1)
+        w2 = blowup_weight_vector(links._COND_WPS, "x", links._WEIGHTS2)
+        F6 = F.w_component(w1, 6)
+        assert F6 == y * w**2 + (x**2 * y * z * w).scale(hat.lam) + x * a6
+        assert F.weight_of(w1) == 6 and F.weight_of(w2) == 4
+        assert y * h == F.w_component(w2, 4) + F.w_component(w2, 5)
+        r1, _ = run_exclusion_blowups(hat)
+        exceptional = r1.extraction.exceptional_equations[0]
+        assert substitute(F6, {"x": camb.one()}, camb).rename(
+            exceptional.ambient) == exceptional
 
     def test_blowup_4121(self, sigma):
         r1, _ = run_exclusion_blowups(sigma.hat)
@@ -535,7 +565,6 @@ class TestExclusions:
             self, sigma, monkeypatch, failing, blowup):
         # the report notes an irreducible exceptional divisor only when
         # the verdict certifies it
-        cond = condition_check(sigma.hat)
         real = links.irreducibility_verdict
         calls = []
 
@@ -548,7 +577,7 @@ class TestExclusions:
         monkeypatch.setattr(links, "irreducibility_verdict", verdict)
         message = re.escape(f"{blowup} blowup is not certified")
         with pytest.raises(CertificateError, match=message):
-            run_exclusion_blowups(sigma.hat, condition=cond)
+            run_exclusion_blowups(sigma.hat)
         assert len(calls) == failing + 1
 
 
@@ -724,9 +753,8 @@ class TestClassification:
     def test_stages_land_on_the_classification(self, main_member):
         stages = list(link_stages(*main_member, samples=5))
         assert [name for name, _ in stages] == [
-            "normal-form", "census", "sigma", "hat-census", "condition",
-            "exclusions", "curves", "involutions", "involution-check",
-            "classification"]
+            "normal-form", "census", "sigma", "hat-census", "exclusions",
+            "curves", "involutions", "involution-check", "classification"]
         art = dict(stages)
         cls = art["classification"]
         assert cls.normal_form is art["normal-form"]
@@ -735,7 +763,6 @@ class TestClassification:
         assert cls.exclusions is art["exclusions"]
         assert cls.census is art["census"]
         assert cls.hat_census is art["hat-census"]
-        assert cls.condition is art["condition"]
         assert cls.curves is art["curves"]
         assert cls.involutions is art["involutions"]
         assert art["census"].samples == 5
