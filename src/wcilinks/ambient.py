@@ -34,7 +34,6 @@ from .qpoly import (
 )
 
 __all__ = [
-    "AmbientReport",
     "ConeReport",
     "ConeZ2",
     "DivisorClass",
@@ -45,7 +44,6 @@ __all__ = [
     "WallCrossing",
     "WCISpec",
     "WPS",
-    "analyze_ambient",
     "blowup_ambient",
     "blowup_game",
     "blowup_weight_vector",
@@ -265,31 +263,6 @@ class WCISpec:
     def __str__(self):
         degs = ",".join(str(d) for d in self.degrees)
         return f"X_{degs} in {self.wps}"
-
-
-@record
-class AmbientReport:
-    """Numerical summary of a weighted complete intersection ambient."""
-
-    spec: WCISpec
-    dimension: int
-    codimension: int
-    fano_index: int
-    amplitude: Fraction
-    well_formed: bool
-
-
-def analyze_ambient(wps, degrees=None):
-    """Numerical invariants of a weighted complete intersection."""
-    spec = wps if isinstance(wps, WCISpec) else WCISpec(wps, tuple(degrees))
-    return AmbientReport(
-        spec=spec,
-        dimension=spec.dimension,
-        codimension=spec.codimension,
-        fano_index=spec.fano_index,
-        amplitude=spec.amplitude,
-        well_formed=spec.wps.is_well_formed(),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from .ambient import WPS, analyze_ambient, blowup_game
+from .ambient import WCISpec, WPS, blowup_game
 from .links import (
     CertificateError,
     InconsistencyError,
@@ -376,14 +376,14 @@ def cmd_analyze(args):
         "ambient_dimension": spec.wps.dim,
     }
     if spec.degrees:
-        rep = analyze_ambient(spec.wps, spec.degrees)
+        wci = WCISpec(spec.wps, spec.degrees)
         amb_step.update({
-            "variety": str(rep.spec),
+            "variety": str(wci),
             "degrees": list(spec.degrees),
-            "dimension": rep.dimension,
-            "codimension": rep.codimension,
-            "fano_index": rep.fano_index,
-            "amplitude": _rat(rep.amplitude),
+            "dimension": wci.dimension,
+            "codimension": wci.codimension,
+            "fano_index": wci.fano_index,
+            "amplitude": _rat(wci.amplitude),
         })
     steps.append(amb_step)
     if spec.equations:

@@ -66,7 +66,9 @@ from .qpoly import (
     substitute,
 )
 from .singular import (
+    CertificateError,
     InconsistencyError,
+    _require,
     analyze_cE6_germ,
     blowup_at_point,
     classify_quotient_singularity,
@@ -133,15 +135,6 @@ CITATIONS = (
     "[OkII Lem 2.9]",
     "[OkSolid Prop 3.16]",
 )
-
-
-class CertificateError(ValueError):
-    """The member fails a genericity gate; the pipeline rejects it."""
-
-
-def _require(flag, message, error=InconsistencyError):
-    if not flag:
-        raise error(message)
 
 
 # ---------------------------------------------------------------------------
@@ -727,12 +720,6 @@ def construct_link_sigma(nf):
                         hat_amb).rename(amb) == nf.S12,
              "chart identity fails: W(u=1) != S12")
 
-    # the point of the degree-7 model under the x-divisor contraction
-    qrep = classify_quotient_singularity((F,), HAT_WPS, "z")
-    _require(qrep.on_variety and not qrep.quasismooth,
-             "the image of the contracted divisor is not the expected"
-             " non-quasismooth point at the z-coordinate")
-
     x, y, z, t, v, w = (amb.var(n) for n in X_NAMES)
     sigma = (x**3, x * y, z, x**2 * t, x**2 * v)
     sigma_inverse = (u, u * yh, u**2 * zh, u**2 * th, u**4 * vh,
@@ -775,7 +762,6 @@ class CensusHatX:
 
     reports: dict
     singular: dict
-    qhat: object
     germ: object
 
 
@@ -784,8 +770,10 @@ def singularity_census_hatX(hat):
 
     Expected census: the two weight-1 points off the model, a terminal
     1/2(1,1,1) point, a terminal 1/3(1,1,2) point, and the point qhat at
-    the z-coordinate where the model is not quasismooth, which
-    construct_link_sigma has already checked on the same model.  The curve
+    the z-coordinate, the image of the divisor sigma contracts, where the
+    model is not quasismooth.  That last check cannot fail, so it is an
+    InconsistencyError: by sigma's reassembly identity the model has no
+    monomial z^7, z^6*u, z^6*y, z^5*t or z^4*v.  The curve
     (u = y = t = 0) lies on the model and is quasismooth away from qhat.
     The germ at qhat is compound E6; its discrepancy table determines
     how many divisors of discrepancy one lie over it.
@@ -809,6 +797,9 @@ def singularity_census_hatX(hat):
         _require(rep.quotient.is_terminal(),
                  f"the {n}-coordinate point is not terminal")
     singular = {n: reports[n].quotient for n in ("t", "v")}
+    _require(reports["z"].on_variety and not reports["z"].quasismooth,
+             "the image of the contracted divisor is not the expected"
+             " non-quasismooth point at the z-coordinate")
 
     # the coordinate curve u = y = t = 0 lies on the model; along it the
     # only nonvanishing restricted derivative is v^2 in the u-slot, so
@@ -828,10 +819,6 @@ def singularity_census_hatX(hat):
     f_germ = substitute(F, {"z": hat_amb.one()}, hat_amb).rename(
         amb4, {"u": "x", "t": "y", "y": "z", "v": "t"})
     analysis = analyze_cE6_germ(f_germ)
-    failed = [k for k, ok in analysis.gates.items() if not ok]
-    _require(not failed,
-             f"compound E6 gates failed at qhat: {failed}",
-             CertificateError)
     e_verdict = analysis.model_verdicts["E"]
     _require(e_verdict.is_irreducible,
              "the exceptional divisor E over qhat is not certified"
@@ -843,8 +830,7 @@ def singularity_census_hatX(hat):
              f"expected {expected} divisors of discrepancy one over"
              f" qhat, found {analysis.low_discrepancy_count}")
 
-    return CensusHatX(reports=reports, singular=singular, qhat=reports["z"],
-                      germ=analysis)
+    return CensusHatX(reports=reports, singular=singular, germ=analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +878,7 @@ def condition_check(hat):
     identity forces them: w1_support, beta_nonzero (beta = 1, y*w^2),
     alpha_nonzero (alpha = 1, x^5*y^2), g6_nonzero (that g6 is a6) and
     w2_order_four.  Gone, as another stage requires them:
-    center_on_model (construct_link_sigma puts qhat on the model),
+    center_on_model (singularity_census_hatX puts qhat on the model),
     mu_nonzero (normal_form_X1214), w1_order_six (_not_a_link requires
     the discrepancy 7 - order to be one) and w1_part_irreducible
     (_not_a_link requires the same exceptional equation certified

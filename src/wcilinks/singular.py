@@ -11,9 +11,9 @@ blowup_at_point runs both on the chart germ of a coordinate point.
 
 Two germ analyzers build complete low-discrepancy tables: one for
 compound A-type double point quotients x*y + g(z, t) over Z/2, one for
-compound E6-type hypersurface germs.  Both emit gate checks, exceptional
-models with irreducibility certificates, and discrepancy rows verified
-against the blowup engine.
+compound E6-type hypersurface germs.  Each raises on a failed gate and
+returns discrepancy rows verified against the blowup engine, with an
+irreducibility verdict for the first exceptional model.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .qpoly import (
 )
 
 __all__ = [
+    "CertificateError",
     "DiscrepancyRecord",
     "Germ",
     "GermAnalysis",
@@ -61,6 +62,15 @@ __all__ = [
 
 class InconsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagree."""
+
+
+class CertificateError(ValueError):
+    """The member fails a genericity gate; the pipeline rejects it."""
+
+
+def _require(flag, message, error=InconsistencyError):
+    if not flag:
+        raise error(message)
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +432,13 @@ class GermRow:
 
 @record
 class GermAnalysis:
-    """Result of a germ analysis: gates, table rows, certified models."""
+    """Result of a germ analysis: parameters, table rows, E's verdict."""
 
     kind: str
-    gates: dict
     parameters: dict
     rows: tuple
     low_discrepancy_count: int
-    chart: QuotientSingularity | None
     model_verdicts: dict
-    models: dict
-    cited: tuple = ()
-    notes: tuple = ()
 
     def row(self, name):
         for r in self.rows:
@@ -441,53 +446,41 @@ class GermAnalysis:
                 return r
         raise KeyError(name)
 
-    def gates_passed(self):
-        return all(self.gates.values())
-
 
 def analyze_cA2_germ(g):
     """Discrepancy table of the germ x*y + g(z, t) = 0 over Z/2(1,1,1,0).
 
     g is a polynomial in two variables z, t.  Gates: g has only even powers
-    of z, order exactly six for the doubled scale z -> 1, t -> 2, and the
-    monomial t^3 occurs.  The half-weight blowup (5,1,1,2)/2 extracts a
-    single divisor of discrepancy 1/2 with an irreducible exceptional
-    surface; its chart at the first coordinate is a quotient point whose
-    own blowups contribute the remaining low rows.
+    of z (even_in_z), order exactly six for the doubled scale z -> 1,
+    t -> 2 (order_six), and the monomial t^3 occurs (t_cubed_present); a
+    failed gate raises CertificateError naming it.  The half-weight
+    blowup (5,1,1,2)/2 extracts a single divisor of discrepancy 1/2 with
+    an irreducible exceptional surface; its chart at the first coordinate
+    is the terminal quotient point 1/5(1,2,4), whose own blowups
+    contribute the remaining low rows.  A row's discrepancy on the germ
+    is its blowup discrepancy plus its multiplicity times that of E.
     """
     zt = g.ambient
     if zt.nvars != 2:
         raise ValueError("expected a polynomial in two variables z, t")
     zn, tn = zt.names
-    gates = {}
-    gates["even_in_z"] = all(m[0] % 2 == 0 for m, _ in g.items())
     scale = WeightVector((1, 2), 1)
-    gates["order_six"] = g.weight_of(scale) == 6
-    gates["t_cubed_present"] = not zt.field.is_zero(g.coefficient((0, 3)))
-    if not all(gates.values()):
-        return GermAnalysis(
-            kind="cA/2",
-            gates=gates,
-            parameters={},
-            rows=(),
-            low_discrepancy_count=0,
-            chart=None,
-            model_verdicts={},
-            models={},
-            notes=("gates failed; no table computed",),
-        )
+    for gate, ok in (
+            ("even_in_z", all(m[0] % 2 == 0 for m, _ in g.items())),
+            ("order_six", g.weight_of(scale) == 6),
+            ("t_cubed_present", not zt.field.is_zero(g.coefficient((0, 3))))):
+        _require(ok, f"cA/2 gate failed: {gate}", CertificateError)
 
     amb = Ambient(("x", "y", zn, tn), zt.field)
     f = amb.var("x") * amb.var("y") + g.rename(amb)
     germ = Germ(amb, (f,), 2, (1, 1, 1, 0))
     b = WeightVector((5, 1, 1, 2), 2)
     record, charts, agreement = discrepancy_chart_oracle(germ, b)
-    gates["chart_oracle_agrees"] = agreement
+    _require(agreement, "the cA/2 chart orders disagree with the weights")
     g6 = g.w_component(scale, 6)
     e_model = amb.var("x") * amb.var("y") + g6.rename(amb)
-    if record.exceptional_equations[0] != e_model:
-        raise InconsistencyError(
-            "the cA/2 exceptional equation differs from x*y + g6")
+    _require(record.exceptional_equations[0] == e_model,
+             "the cA/2 exceptional equation differs from x*y + g6")
     verdict = irreducibility_verdict(e_model)
     rows = [
         GermRow(
@@ -505,11 +498,9 @@ def analyze_cA2_germ(g):
     chart_eq = toric_transform(f, b, "e")
     ext = chart_eq.ambient
     chart_eq = substitute(chart_eq, {"x": ext.one()}, ext)
-    ydeg = chart_eq.degree_in("y")
-    ycoeff = chart_eq.coefficient_of_power("y", 1)
-    gates["chart_linear_in_y"] = ydeg == 1 and ycoeff.is_constant()
-    chart = QuotientSingularity(5, (1, 2, 4))
-    gates["chart_terminal"] = chart.is_terminal()
+    _require(chart_eq.degree_in("y") == 1
+             and chart_eq.coefficient_of_power("y", 1).is_constant(),
+             "the cA/2 chart equation is not linear in y")
 
     chart_amb = Ambient(("e", zn, tn), zt.field)
     chart_germ = Germ(chart_amb, (), 5, (1, 2, 4))
@@ -534,18 +525,10 @@ def analyze_cA2_germ(g):
 
     return GermAnalysis(
         kind="cA/2",
-        gates=gates,
         parameters={"g6": g6},
         rows=tuple(rows),
         low_discrepancy_count=count,
-        chart=chart,
         model_verdicts={"E": verdict},
-        models={"E": (e_model,)},
-        notes=(
-            "rows follow the composition law: discrepancy on the germ equals"
-            " the blowup discrepancy plus multiplicity times the first-row"
-            " discrepancy",
-        ),
     )
 
 
@@ -565,12 +548,46 @@ def analyze_cE6_germ(f):
     """Discrepancy table of a compound E6 hypersurface germ.
 
     f lives in coordinates (x, y, z, t) with filtration weights (3,2,1,2).
-    Its weight-six part must be x^2 + x z(lam t + g2) + g6 with g2 linear
-    in (y, z^2) and g6 a binary cubic in (y, z^2); the quadratic-in-t unit
-    and the tail are controlled by gates.  The table lists the weight-six
-    blowup E (discrepancy one) and three half-integral blowups of the
-    quotient chart germ; the count of discrepancy-one divisors is four in
-    general and three when the coefficient of x z t vanishes.
+    Its weight-six part, scaled so that x^2 has coefficient one, is
+    x^2 + x z(lam t + g2) + g6 with g2 linear in (y, z^2) and g6 a binary
+    cubic in (y, z^2).  The table lists the weight-six blowup E
+    (discrepancy one) and three half-integral blowups of the quotient
+    chart germ; the count of discrepancy-one divisors is four in general
+    and three when the coefficient of x z t vanishes.  Completeness of
+    the divisor list over the germ is cited, not recomputed.
+
+    One gate can fail on a member: the binary cubic g6 in (y, z^2),
+    corrected by the square of z*g2 when lam = 0, must have simple roots
+    (cubic_simple_roots).  It raises CertificateError.
+
+    Every other gate is forced on the germ at qhat of a model that
+    links.construct_link_sigma built, so a failure there raises
+    InconsistencyError.  That germ is the model at z = 1 in coordinates
+    (x, y, z, t) = (u, t, y, v), where sigma's reassembly identity
+    F = z*W + u*v^2 + y*c6 + u*R, W = a6 + lam*y*z*v*u + z^4*u^2
+    + z^2*y*u*b2 (R is the model's g6), reads
+
+        f = x^2 + lam*x*z*t + x*z*b2 + a6 + x*t^2 + z*c6 + x*R,
+
+    with a6, b2, c6 (forms in sigma's y, t) and R renamed to the germ
+    coordinates.  By sigma's chart identity a monomial x^a*y^b*z^c*t^d
+    of g14 gives the monomial u^(7-s)*y^b*z^c*t^d of u*R, with
+    s = b + c + 2*d <= 6 since construct_link_sigma divides u*R by u
+    exactly.  At z = 1 it has x-degree 7 - s >= 1 and weight
+    3*(7 - s) + b + 2*d = 7 + a >= 7.  Hence:
+
+      * the weight-six part is x^2 + lam*x*z*t + x*z*b2 + a6, so g2 = b2
+        and g6 = a6 (order_six, x_squared_present), and its monomials
+        lie in _CE6_W6_SUPPORT (weight_six_support): b2 gives z^2 and y,
+        a6 gives z^6, z^4*y, z^2*y^2 and y^3;
+      * the y^3 coefficient is the t^3 coefficient of a6, the normal
+        form's mu != 0 (mu_nonzero);
+      * the x-free part above weight six is z*c6 (tail_in_y_z);
+      * the coefficient c_t of x*t^2 is one, from u*v^2 (t_squared_unit);
+      * h, what is left of f/x after x + z*(lam*t + g2) + c_t*t^2, is R,
+        of weight at least 4 (h_order_at_least_four);
+      * the chart orders of E agree with the filtration for every germ,
+        as discrepancy_chart_oracle shows (chart_oracle_agrees).
     """
     amb = f.ambient
     if amb.nvars != 4:
@@ -578,21 +595,16 @@ def analyze_cE6_germ(f):
     xn, yn, zn, tn = amb.names
     field = amb.field
     w = WeightVector((3, 2, 1, 2), 1)
-    gates = {}
-    notes = []
-    gates["order_six"] = f.weight_of(w) == 6
+
+    def forced(ok, gate):
+        _require(ok, f"forced compound E6 gate failed: {gate}")
+
     w6 = f.w_component(w, 6)
-    gates["weight_six_support"] = all(
-        m in _CE6_W6_SUPPORT for m, _ in w6.items())
     x2 = w6.coefficient((2, 0, 0, 0))
-    gates["x_squared_present"] = not field.is_zero(x2)
-    if not (gates["order_six"] and gates["weight_six_support"]
-            and gates["x_squared_present"]):
-        return GermAnalysis(
-            kind="cE6", gates=gates, parameters={}, rows=(),
-            low_discrepancy_count=0, chart=None, model_verdicts={},
-            models={}, notes=("gates failed; no table computed",),
-        )
+    forced(f.weight_of(w) == 6, "order_six")
+    forced(all(m in _CE6_W6_SUPPORT for m, _ in w6.items()),
+           "weight_six_support")
+    forced(not field.is_zero(x2), "x_squared_present")
     f = f.scale(field.inv(x2))
     w6 = f.w_component(w, 6)
 
@@ -601,26 +613,18 @@ def analyze_cE6_germ(f):
     b_c = w6.coefficient((1, 0, 3, 0))
     y, z, t, x = amb.var(yn), amb.var(zn), amb.var(tn), amb.var(xn)
     g2 = amb.const(a_c) * y + amb.const(b_c) * z * z
-    g6 = (
-        amb.const(w6.coefficient((0, 3, 0, 0))) * y**3
-        + amb.const(w6.coefficient((0, 2, 2, 0))) * y**2 * z**2
-        + amb.const(w6.coefficient((0, 1, 4, 0))) * y * z**4
-        + amb.const(w6.coefficient((0, 0, 6, 0))) * z**6
-    )
     mu = w6.coefficient((0, 3, 0, 0))
-    gates["mu_nonzero"] = not field.is_zero(mu)
+    forced(not field.is_zero(mu), "mu_nonzero")
 
     # split off the x-free tail, then divide everything else by x; the
     # quotient may itself contain x when the germ has x-degree above two
     tail = f.coefficient_of_power(xn, 0) - w6.coefficient_of_power(xn, 0)
-    gates["tail_in_y_z"] = tail.variables() <= {yn, zn}
-    tail_absorbed = not tail.is_zero()
+    forced(tail.variables() <= {yn, zn}, "tail_in_y_z")
     q = divexact(f - f.coefficient_of_power(xn, 0), x)
     c_t = q.coefficient((0, 0, 0, 2))
-    gates["t_squared_unit"] = not field.is_zero(c_t)
+    forced(not field.is_zero(c_t), "t_squared_unit")
     h = q - x - z * (t.scale(lam) + g2) - t.scale(c_t) * t
-    gates["h_order_at_least_four"] = h.is_zero() or h.weight_of(w) >= 4
-    h_even_z = all(m[amb.index(zn)] % 2 == 0 for m, _ in h.items())
+    forced(h.is_zero() or h.weight_of(w) >= 4, "h_order_at_least_four")
 
     # binary cubic certificate: the form in (y, z^2), corrected by the
     # square of z*g2 when the t-slot is absent, must have simple roots
@@ -635,30 +639,16 @@ def analyze_cE6_germ(f):
     if field.is_zero(lam):
         quarter = field.inv(field.coerce(4))
         corr = YZ.const(a_c) * Yv + YZ.const(b_c) * Zv
-        G_t = G - Zv * corr * corr.scale(quarter)
-    else:
-        G_t = G
-    if field.is_zero(mu):
-        gates["cubic_simple_roots"] = False
-    else:
-        p = substitute(G_t, {"Z": YZ.one()}, YZ)
-        disc = resultant(p, p.derivative("Y"), "Y")
-        gates["cubic_simple_roots"] = not disc.is_zero()
-
-    if not all(gates[k] for k in (
-        "mu_nonzero", "tail_in_y_z",
-        "t_squared_unit", "h_order_at_least_four", "cubic_simple_roots",
-    )):
-        return GermAnalysis(
-            kind="cE6", gates=gates, parameters={"lambda": lam, "mu": mu},
-            rows=(), low_discrepancy_count=0, chart=None, model_verdicts={},
-            models={}, notes=("gates failed; no table computed",),
-        )
+        G = G - Zv * corr * corr.scale(quarter)
+    p = substitute(G, {"Z": YZ.one()}, YZ)
+    _require(not resultant(p, p.derivative("Y"), "Y").is_zero(),
+             "compound E6 gates failed at qhat: ['cubic_simple_roots']",
+             CertificateError)
 
     # row E: the weight-six blowup of the hypersurface germ
     germ = Germ(amb, (f,), 1, (0, 0, 0, 0))
     record, charts, agreement = discrepancy_chart_oracle(germ, w)
-    gates["chart_oracle_agrees"] = agreement
+    forced(agreement, "chart_oracle_agrees")
     e_verdict = irreducibility_verdict(w6)
     rows = [
         GermRow(
@@ -686,13 +676,10 @@ def analyze_cE6_germ(f):
     eq1 = sv * chart_amb.var(xn) + c0
     eq2 = sv - s_expr
     # exact re-embedding: eliminating s recovers the chart equation
-    if substitute(eq1, {"s": s_expr}, chart_amb) != chart_f:
-        raise InconsistencyError(
-            "eliminating s does not recover the cE6 chart equation")
+    _require(substitute(eq1, {"s": s_expr}, chart_amb) == chart_f,
+             "eliminating s does not recover the cE6 chart equation")
     chart_germ = Germ(chart_amb, (eq1, eq2), 2, (1, 0, 1, 1, 1))
 
-    model_verdicts = {"E": e_verdict}
-    models = {"E": (w6,)}
     count = 1 if aE == 1 else 0
     for i in (1, 3, 5):
         bi = WeightVector((i, 2, 1, 1, 6 - i), 2)
@@ -732,34 +719,15 @@ def analyze_cE6_germ(f):
                 discrepancy=total,
             )
         )
-        models[f"F{i}"] = rec_i.exceptional_equations
         if total == 1:
             count += 1
 
-    if tail_absorbed:
-        notes.append(
-            "x-free tail of weight above six absorbed into the chart"
-            " equation; it does not meet any lowest-weight component"
-        )
-    if not h_even_z:
-        notes.append("the unit correction h has odd powers of z")
     return GermAnalysis(
         kind="cE6",
-        gates=gates,
-        parameters={
-            "lambda": lam, "mu": mu, "c_t": c_t,
-            "g2": g2, "g6": g6,
-        },
+        parameters={"lambda": lam, "mu": mu, "c_t": c_t},
         rows=tuple(rows),
         low_discrepancy_count=count,
-        chart=None,
-        model_verdicts=model_verdicts,
-        models=models,
-        cited=("[OkSolid Prop 3.16]",),
-        notes=tuple(notes) + (
-            "completeness of the divisor list over the germ is cited, not"
-            " recomputed",
-        ),
+        model_verdicts={"E": e_verdict},
     )
 
 
@@ -772,15 +740,8 @@ class QuadraticInvolutionResult:
     """Outcome of projecting away from a coordinate appearing quadratically."""
 
     kind: str               # "NotMaximal" | "SelfLink"
-    variable: str
-    ell: QPolynomial
-    f_mid: QPolynomial
-    f_low: QPolynomial
     divides_mid: bool
-    divides_low: bool
     double_cover: QPolynomial | None
-    deck_verified: bool
-    branch_data: tuple
 
 
 def quadratic_involution_test(F, point):
@@ -790,12 +751,13 @@ def quadratic_involution_test(F, point):
     point, the projection away from the point is generically two-to-one.
     If ell divides f_mid the point is not a maximal center (the projection
     untwists nothing); otherwise the double cover model s^2 + s*f_mid +
-    ell*f_low carries an exact deck involution s -> -s - f_mid and the
-    projection is a self-link.
+    ell*f_low carries the deck involution s -> -s - f_mid and the
+    projection is a self-link.  The deck involution fixes the model for
+    every F, since (s + f_mid)^2 - (s + f_mid)*f_mid = s^2 + s*f_mid, so
+    a failure of that identity raises InconsistencyError.
     """
     amb = F.ambient
-    wv = point
-    uni = F.as_univariate(wv)
+    uni = F.as_univariate(point)
     if max(uni) != 2:
         raise ValueError(f"{point} must appear with degree exactly two")
     ell = uni.get(2)
@@ -803,35 +765,13 @@ def quadratic_involution_test(F, point):
     f_low = uni.get(0, amb.zero())
     if ell.is_zero():
         raise ValueError("the quadratic coefficient vanishes")
-    divides_mid = divides(ell, f_mid) if not f_mid.is_zero() else True
-    divides_low = divides(ell, f_low) if not f_low.is_zero() else False
-    if divides_mid:
+    if f_mid.is_zero() or divides(ell, f_mid):
         return QuadraticInvolutionResult(
-            kind="NotMaximal",
-            variable=wv,
-            ell=ell,
-            f_mid=f_mid,
-            f_low=f_low,
-            divides_mid=True,
-            divides_low=divides_low,
-            double_cover=None,
-            deck_verified=False,
-            branch_data=(),
-        )
+            kind="NotMaximal", divides_mid=True, double_cover=None)
     ext = amb.extended(("s_",))
     s = ext.var("s_")
     Z = s * s + s * f_mid.rename(ext) + ell.rename(ext) * f_low.rename(ext)
-    deck = substitute(Z, {"s_": -s - f_mid.rename(ext)}, ext)
-    deck_ok = deck == Z
+    _require(substitute(Z, {"s_": -s - f_mid.rename(ext)}, ext) == Z,
+             "the deck involution does not fix the double cover model")
     return QuadraticInvolutionResult(
-        kind="SelfLink",
-        variable=wv,
-        ell=ell,
-        f_mid=f_mid,
-        f_low=f_low,
-        divides_mid=False,
-        divides_low=divides_low,
-        double_cover=Z,
-        deck_verified=deck_ok,
-        branch_data=(str(ell), str(f_mid), str(f_low)),
-    )
+        kind="SelfLink", divides_mid=False, double_cover=Z)

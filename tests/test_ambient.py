@@ -10,7 +10,6 @@ from wcilinks.ambient import (
     Rank2Toric,
     WCISpec,
     WPS,
-    analyze_ambient,
     blowup_ambient,
     blowup_weight_vector,
     certify_stratum_empty,
@@ -60,10 +59,8 @@ def test_wci_numerics(P61):
     assert spec.codimension == 2
     assert spec.fano_index == 2
     assert spec.amplitude == Fraction(1, 11)
-    report = analyze_ambient(P61, (12, 14))
-    assert report.fano_index == 2
-    assert report.amplitude == Fraction(1, 11)
-    assert report.well_formed
+    assert str(spec) == "X_12,14 in P(1,2,3,4,7,11)"
+    assert spec.wps.is_well_formed()
 
 
 # ---------------------------------------------------------------------------

@@ -400,12 +400,30 @@ class TestSigmaLink:
 # census of the degree-7 model
 
 
+def _boundary_model(seed, index, monomial):
+    """The model of the normal form of seed without one monomial."""
+    nf = normal_form_X1214(*random_member(seed))
+    pair = [nf.F1, nf.F2]
+    if monomial is not None:
+        pair[index] = _drop(pair[index], monomial)
+    return construct_link_sigma(normal_form_X1214(*pair)).hat
+
+
+# the normal form itself (index 0, no monomial dropped) and four boundary
+# members, each without one monomial of F1 or F2
+_BOUNDARY_MEMBERS = pytest.mark.parametrize("index, monomial", [
+    (0, None), (0, "y*z*v"), (0, "z^2*y*t"), (1, "y*z^4"),
+    (1, "x^2*z^4")], ids=["member", "F1-yzv", "F1-z2yt", "F2-yz4",
+                          "F2-x2z4"])
+
+
 class TestCensusHatX:
     def test_main(self, sigma):
         census = singularity_census_hatX(sigma.hat)
         assert not census.reports["u"].on_variety
         assert not census.reports["y"].on_variety
-        assert census.qhat.on_variety and not census.qhat.quasismooth
+        qhat = census.reports["z"]
+        assert qhat.on_variety and not qhat.quasismooth
         labels = {n: q.type_label() for n, q in census.singular.items()}
         assert labels == {"t": "1/2(1,1,1)", "v": "1/3(1,1,2)"}
         # the curve u = y = t = 0 lies on the model, and along it the
@@ -454,7 +472,7 @@ class TestCensusHatX:
         census = singularity_census_hatX(sigma.hat)
         germ = census.germ
         assert germ.kind == "cE6"
-        assert germ.gates_passed()
+        assert germ.parameters["lambda"] == sigma.hat.lam
         assert germ.low_discrepancy_count == 4
         assert germ.row("E").discrepancy == 1
         for name in ("F1", "F3", "F5"):
@@ -471,18 +489,37 @@ class TestCensusHatX:
         assert germ.row("F3").multiplicity == Fraction(3, 2)
         assert germ.row("F3").discrepancy == 2
 
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    @_BOUNDARY_MEMBERS
+    def test_germ_shape(self, seed, index, monomial):
+        # what replaced the forced gates of analyze_cE6_germ: the germ at
+        # qhat, the model at z = 1 in coordinates (x, y, z, t) =
+        # (u, t, y, v), has weight-six part x^2 + lam*x*z*t + x*z*b2 + a6,
+        # the coefficient c_t = 1 at x*t^2 and the x-free tail z*c6; the
+        # rest is x*g6, of weight at least seven
+        hat = _boundary_model(seed, index, monomial)
+        hamb = hat.F.ambient
+        amb4 = qpoly.Ambient(("x", "y", "z", "t"))
+        names = {"u": "x", "t": "y", "y": "z", "v": "t"}
+        f, a6, b2, c6 = (
+            substitute(p, {"z": hamb.one()}, hamb).rename(amb4, names)
+            for p in (hat.F, hat.a6, hat.b2, hat.c6))
+        x, z, t = (amb4.var(n) for n in "xzt")
+        w = qpoly.WeightVector((3, 2, 1, 2), 1)
+        w6 = f.w_component(w, 6)
+        assert f.weight_of(w) == 6
+        assert w6 == x**2 + (x * z * t).scale(hat.lam) + x * z * b2 + a6
+        assert f.coefficient("x*t^2") == 1
+        assert f.coefficient_of_power("x", 0) - a6 == z * c6
+        rest = f - w6 - x * t**2 - z * c6
+        assert qpoly.divides(x, rest) and rest.weight_of(w) >= 7
+        germ = singularity_census_hatX(hat).germ
+        assert germ.parameters["c_t"] == 1
+        assert germ.parameters["mu"] == hat.mu
+
 
 # ---------------------------------------------------------------------------
 # the condition and the exclusion blowups
-
-
-def _boundary_model(seed, index, monomial):
-    """The model of the normal form of seed without one monomial."""
-    nf = normal_form_X1214(*random_member(seed))
-    pair = [nf.F1, nf.F2]
-    if monomial is not None:
-        pair[index] = _drop(pair[index], monomial)
-    return construct_link_sigma(normal_form_X1214(*pair)).hat
 
 
 class TestExclusions:
@@ -503,10 +540,7 @@ class TestExclusions:
         assert h == camb.parse("x^5*y + w^2 + x^2*z*w + x^3*z^3 + x^3*z*t")
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
-    @pytest.mark.parametrize("index, monomial", [
-        (0, None), (0, "y*z*v"), (0, "z^2*y*t"), (1, "y*z^4"),
-        (1, "x^2*z^4")], ids=["member", "F1-yzv", "F1-z2yt", "F2-yz4",
-                              "F2-x2z4"])
+    @_BOUNDARY_MEMBERS
     def test_filtration_shape(self, seed, index, monomial):
         # what replaced the gates of condition_check: the model splits as
         # x*a6 + z*c6 + y*R, its w1-part of weight six is
