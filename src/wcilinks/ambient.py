@@ -20,13 +20,14 @@ blowup of a coordinate point.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from math import gcd, prod
 
 from ._records import record
 from .qpoly import (
     Ambient,
     QQ,
+    QPolynomial,
     WeightVector,
     _univariate_gcd,
     substitute,
@@ -554,6 +555,7 @@ def _end_data(toric, order, ray_index, side):
     )
 
 
+@lru_cache(maxsize=8)
 def run_two_ray_game(toric):
     """Walk the chamber structure counterclockwise from the initial model.
 
@@ -561,6 +563,11 @@ def run_two_ray_game(toric):
     group-two ray.  Walls with at least two coordinates beyond them are
     small modifications and the walk continues; a single coordinate beyond
     stops the game with a divisorial contraction, none with a fibration.
+
+    The game reads the toric ambient alone, a frozen record, so the
+    result is memoised on it: the pipeline plays the same three games
+    (sigma's blowup and the two exclusion blowups) for every member.
+    Callers share the returned LinkTrace, which is frozen throughout.
     """
     if not 2 <= toric.group1_size <= toric.nvars - 2:
         raise ValueError("each irrelevant group needs at least two coordinates")
@@ -635,9 +642,12 @@ class EmptinessCertificate:
     reason: str
 
 
-def _restrict(eq, dead, ambient):
-    mapping = {n: ambient.zero() for n in dead}
-    return substitute(eq, mapping, ambient)
+def _restrict(eq, dead):
+    """eq with the coordinates named in dead set to zero: the terms
+    that involve none of them."""
+    slots = [i for i, n in enumerate(eq.ambient.names) if n in dead]
+    return QPolynomial(eq.ambient, {
+        m: c for m, c in eq.items() if not any(m[i] for i in slots)})
 
 
 def _common_positive_weights(eqs, p, q, ambient):
@@ -692,7 +702,7 @@ def certify_stratum_empty(equations, dead, left, right, depth=16):
         eqs = []
         if ambient is not None:
             for eq in equations:
-                r = _restrict(eq, dead, ambient)
+                r = _restrict(eq, dead)
                 if not r.is_zero():
                     eqs.append(r)
         for eq in eqs:
@@ -748,10 +758,7 @@ def certify_stratum_empty(equations, dead, left, right, depth=16):
                 if any(e.is_zero() for e in at_p1):
                     g = None  # an equation vanishes on the whole chart
                 if g is not None and g.is_constant():
-                    at_p0 = [
-                        substitute(eq, {p: ambient.zero()}, ambient)
-                        for eq in eqs
-                    ]
+                    at_p0 = [_restrict(eq, {p}) for eq in eqs]
                     pure = [e for e in at_p0 if not e.is_zero()]
                     if any(e.is_constant() for e in pure):
                         return EmptinessCertificate(

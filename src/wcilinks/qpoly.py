@@ -18,8 +18,9 @@ Polynomials are immutable: nothing writes to a polynomial's terms after
 construction, and every arithmetic result (sum, difference, negation,
 product, power, substitution) holds no zero coefficient.  The kernel
 relies on both.  It builds its results without re-scanning them for
-zeros, and an Ambient hands out one shared zero, one and variable per
-name instead of building a new polynomial on each call.
+zeros, an Ambient hands out one shared zero, one and variable per name
+instead of building a new polynomial on each call, and a Substitution
+keeps the powers and products of its images from one call to the next.
 """
 
 from __future__ import annotations
@@ -224,17 +225,21 @@ class PrimeField:
     def sqrt(self, a):
         """The smaller square root of a mod p, or None for a non-square.
 
-        Euler's criterion detects non-squares; the root is a^((p+1)/4)
-        when p = 3 mod 4 and comes from Tonelli-Shanks otherwise.
+        When p = 3 mod 4 the root is r = a^((p+1)/4), and a is a square
+        exactly when r^2 = a: r^2 = a * a^((p-1)/2), which is -a for a
+        non-square.  Otherwise Euler's criterion detects non-squares and
+        the root comes from Tonelli-Shanks.
         """
         p = self.p
         a %= p
         if a == 0 or p == 2:
             return a
-        if pow(a, (p - 1) // 2, p) != 1:
-            return None
         if p % 4 == 3:
             r = pow(a, (p + 1) // 4, p)
+            if r * r % p != a:
+                return None
+        elif pow(a, (p - 1) // 2, p) != 1:
+            return None
         else:
             # p - 1 = q * 2^s with q odd; z is a non-square
             q, s = p - 1, 0
@@ -992,6 +997,12 @@ class Substitution:
     drops the term.  The images of several terms are expanded once per
     pattern of their exponents, and every term of the result is summed
     into one dict in the order of the source terms.
+
+    The powers of the multi-term images and their products per pattern
+    are kept for the life of the object, so a map applied to many
+    polynomials expands each pattern once.  The images are immutable,
+    and an expansion depends on its pattern alone, so a kept product is
+    the one a fresh map would compute, term order included.
     """
 
     def __init__(self, source, target, mapping):
@@ -1029,6 +1040,9 @@ class Substitution:
                 self._monomial.append((i, shift, c))
             else:
                 self._multi.append(i)
+        # powers of the multi-term images, and their products by pattern
+        self._powers = {i: {1: images[i].terms} for i in self._multi}
+        self._products = {}
 
     def __call__(self, f):
         if f.ambient != self.source:
@@ -1036,9 +1050,7 @@ class Substitution:
         field = self.target.field
         nvars = self.target.nvars
         multi = self._multi
-        # powers and products of the multi-term images, for this call only
-        powers = {i: {1: self.images[i].terms} for i in multi}
-        products = {}
+        products = self._products
         terms = {}
         for m, c in f.terms.items():
             c = field.coerce(c)
@@ -1062,9 +1074,7 @@ class Substitution:
             if any(pattern):
                 product = products.get(pattern)
                 if product is None:
-                    product = products[pattern] = self._expand(
-                        pattern, powers, field
-                    )
+                    product = products[pattern] = self._expand(pattern, field)
                 pieces = [
                     (_mono_mul(pm, shifted), field.mul(pc, c))
                     for pm, pc in product.items()
@@ -1080,13 +1090,13 @@ class Substitution:
                 terms[key] = c
         return _poly(self.target, terms)
 
-    def _expand(self, pattern, powers, field):
+    def _expand(self, pattern, field):
         """Term dict of the product of the multi-term images' powers."""
         product = None
         for i, e in zip(self._multi, pattern):
             if not e:
                 continue
-            cache = powers[i]
+            cache = self._powers[i]
             if e not in cache:
                 top = max(cache)
                 acc = cache[top]
@@ -1197,6 +1207,9 @@ def _eliminate(rows, field):
     full rank the product is the determinant.  The matrix may be empty
     or not square.
     """
+    p = field.characteristic
+    if p:
+        return _eliminate_mod(rows, p)
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -1223,6 +1236,40 @@ def _eliminate(rows, field):
             factor = field.mul(m[i][col], inv)
             for j in range(col, ncols):
                 m[i][j] = field.sub(m[i][j], field.mul(factor, m[rank][j]))
+        rank += 1
+    return rank, product
+
+
+def _eliminate_mod(rows, p):
+    """_eliminate over F_p, on native ints reduced mod p."""
+    m = [[a % p for a in r] for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    product = 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        pivot = None
+        for i in range(rank, nrows):
+            if m[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            product = -product % p
+        top = m[rank]
+        product = product * top[col] % p
+        inv = pow(top[col], -1, p)
+        for i in range(rank + 1, nrows):
+            row = m[i]
+            if not row[col]:
+                continue
+            factor = row[col] * inv % p
+            for j in range(col, ncols):
+                row[j] = (row[j] - factor * top[j]) % p
         rank += 1
     return rank, product
 
@@ -1363,8 +1410,10 @@ class Evaluator:
     tabulates the powers of every coordinate once, up to its top
     exponent, and shares the table across the polynomials.  One loop
     serves both fields: the sums and products run on the native ints or
-    Fractions, and field.coerce finishes each value, which over F_p is
-    its one reduction mod p.
+    Fractions.  Over F_p the call works on ints throughout: an int
+    coordinate and each power are reduced with % p, any other coordinate
+    goes through field.coerce, and each value is reduced once at the
+    end.  Over Q, field.coerce takes the coordinates and the values.
     """
 
     __slots__ = ("field", "lowered", "top")
@@ -1393,14 +1442,25 @@ class Evaluator:
     def __call__(self, point):
         """The values of the polynomials at point, in their order."""
         field = self.field
-        vals = [field.coerce(x) for x in point]
+        p = field.characteristic
+        if p:
+            vals = [x % p if isinstance(x, int) else field.coerce(x)
+                    for x in point]
+        else:
+            vals = [field.coerce(x) for x in point]
         if len(vals) != len(self.top):
             raise ValueError("point length does not match ambient")
         powers = []
         for x, t in zip(vals, self.top):
             row = [field.one()]
-            for _ in range(t):
-                row.append(field.mul(row[-1], x))
+            if p:
+                r = 1
+                for _ in range(t):
+                    r = r * x % p
+                    row.append(r)
+            else:
+                for _ in range(t):
+                    row.append(field.mul(row[-1], x))
             powers.append(row)
         out = []
         for terms in self.lowered:
@@ -1409,7 +1469,7 @@ class Evaluator:
                 for i, e in mono:
                     c *= powers[i][e]
                 total += c
-            out.append(field.coerce(total))
+            out.append(total % p if p else field.coerce(total))
         return out
 
 

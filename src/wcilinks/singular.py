@@ -24,6 +24,7 @@ from math import gcd
 from ._records import record
 from .qpoly import (
     Ambient,
+    IrreducibilityVerdict,
     QPolynomial,
     Substitution,
     WeightVector,
@@ -438,7 +439,7 @@ class GermAnalysis:
     parameters: dict
     rows: tuple
     low_discrepancy_count: int
-    model_verdicts: dict
+    e_verdict: IrreducibilityVerdict
 
     def row(self, name):
         for r in self.rows:
@@ -528,7 +529,7 @@ def analyze_cA2_germ(g):
         parameters={"g6": g6},
         rows=tuple(rows),
         low_discrepancy_count=count,
-        model_verdicts={"E": verdict},
+        e_verdict=verdict,
     )
 
 
@@ -727,7 +728,7 @@ def analyze_cE6_germ(f):
         parameters={"lambda": lam, "mu": mu, "c_t": c_t},
         rows=tuple(rows),
         low_discrepancy_count=count,
-        model_verdicts={"E": e_verdict},
+        e_verdict=e_verdict,
     )
 
 
@@ -740,7 +741,6 @@ class QuadraticInvolutionResult:
     """Outcome of projecting away from a coordinate appearing quadratically."""
 
     kind: str               # "NotMaximal" | "SelfLink"
-    divides_mid: bool
     double_cover: QPolynomial | None
 
 
@@ -767,11 +767,11 @@ def quadratic_involution_test(F, point):
         raise ValueError("the quadratic coefficient vanishes")
     if f_mid.is_zero() or divides(ell, f_mid):
         return QuadraticInvolutionResult(
-            kind="NotMaximal", divides_mid=True, double_cover=None)
+            kind="NotMaximal", double_cover=None)
     ext = amb.extended(("s_",))
     s = ext.var("s_")
     Z = s * s + s * f_mid.rename(ext) + ell.rename(ext) * f_low.rename(ext)
     _require(substitute(Z, {"s_": -s - f_mid.rename(ext)}, ext) == Z,
              "the deck involution does not fix the double cover model")
     return QuadraticInvolutionResult(
-        kind="SelfLink", divides_mid=False, double_cover=Z)
+        kind="SelfLink", double_cover=Z)

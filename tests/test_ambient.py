@@ -1,10 +1,12 @@
 """Tests for weighted projective spaces, blowup ambients, and two-ray games."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from wcilinks.ambient import (
+    _restrict,
     ConeZ2,
     DivisorClass,
     Rank2Toric,
@@ -17,7 +19,7 @@ from wcilinks.ambient import (
     run_two_ray_game,
     transport_equation,
 )
-from wcilinks.qpoly import QQ, Ambient, WeightVector
+from wcilinks.qpoly import GF, QQ, Ambient, QPolynomial, WeightVector, substitute
 
 
 @pytest.fixture
@@ -251,6 +253,25 @@ def test_game_rejects_bad_split():
 
 # ---------------------------------------------------------------------------
 # emptiness certification and cone calculus
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_restrict_is_substituting_zeros(T61, field):
+    # the term filter gives the substitution of zero for each dead
+    # coordinate, term order included; a dead name off the ambient is
+    # ignored, as the substitution ignores it
+    amb = T61.ambient(field)
+    rng = random.Random(f"restrict/{field!r}")
+    for _ in range(100):
+        f = QPolynomial(amb, {
+            tuple(rng.randint(0, 2) for _ in amb.names):
+                field.coerce(rng.randint(-5, 5))
+            for _ in range(rng.randint(0, 12))})
+        dead = set(rng.sample(amb.names + ("s",), rng.randint(0, 4)))
+        want = substitute(f, {n: 0 for n in dead if n in amb.names}, amb)
+        got = _restrict(f, dead)
+        assert got.ambient == amb
+        assert list(got.items()) == list(want.items())
 
 
 def test_certify_unstable_stratum(T61):

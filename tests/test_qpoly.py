@@ -84,10 +84,12 @@ def test_prime_field_accepts_primes():
         assert GF(p).p == p
 
 
-@pytest.mark.parametrize("p", [2, 3, 13, 101, 1000003, 998244353,
+@pytest.mark.parametrize("p", [2, 3, 7, 13, 101, 103, 1000003, 998244353,
                                DEFAULT_PRIME])
 def test_prime_field_sqrt_matches_sympy(p):
-    # 998244353 = 119 * 2^23 + 1 runs Tonelli-Shanks through 23 squarings
+    # 998244353 = 119 * 2^23 + 1 runs Tonelli-Shanks through 23 squarings;
+    # 3, 7, 103 and 2^31 - 1 are 3 mod 4, where a^((p+1)/4) is the root
+    # of a square and the check of its square refuses a non-square
     from sympy.ntheory.residue_ntheory import sqrt_mod
 
     F = GF(p)
@@ -472,6 +474,37 @@ def test_substitute_matches_reference(field):
         cancelled += not f.is_zero() and got.is_zero()
     assert repeated >= 30
     assert cancelled >= 10
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_substitution_reused_equals_fresh(field):
+    # a map keeps the powers and products it has expanded: applied to
+    # several polynomials, in either order, it gives what a fresh map
+    # gives each of them, term order included
+    rng = random.Random(f"reuse/{field!r}")
+    source = Ambient(("x", "y", "z", "t"), field)
+    target = Ambient(("t", "s", "u", "x"), field)
+    reused = 0
+    for _ in range(40):
+        mapping = {n: _random_image(rng, target, rng.choice(
+            _IMAGE_KINDS + ("multi", "multi"))) for n in source.names}
+        fs = [QPolynomial(source, {
+            tuple(rng.randint(0, 3) for _ in range(4)):
+                field.coerce(rng.randint(-5, 5))
+            for _ in range(rng.randint(1, 10))}) for _ in range(4)]
+        fresh = [list(Substitution(source, target, mapping)(f).items())
+                 for f in fs]
+        for order in (list(range(4)), [3, 2, 1, 0]):
+            sub = Substitution(source, target, mapping)
+            assert [list(sub(fs[k]).items()) for k in order] == [
+                fresh[k] for k in order]
+        multi = [i for i, img in enumerate(sub.images)
+                 if len(img.items()) > 1]
+        patterns = [{tuple(m[i] for i in multi) for m, _ in f.items()}
+                    - {(0,) * len(multi)} for f in fs]
+        reused += any(patterns[j] & patterns[k]
+                      for j in range(4) for k in range(j))
+    assert reused >= 20
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
@@ -932,7 +965,8 @@ def _scalar_matrices(field, rng):
         yield rows
 
 
-@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(101)],
+                         ids=["QQ", "GF3", "GF101"])
 def test_det_and_rank_match_sympy(field):
     from sympy.polys.matrices import DomainMatrix
 
@@ -1017,9 +1051,15 @@ def test_evaluator_matches_reference(field):
             return 0
         if field == QQ:
             return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        return rng.randrange(field.p)
+        # over F_p a coordinate may also be an unreduced int or a Fraction
+        return rng.choice([
+            rng.randrange(field.p), -rng.randrange(1, 3 * field.p),
+            rng.randrange(field.p, 3 * field.p),
+            Fraction(rng.randint(-9, 9), rng.randint(2, 5))])
 
     seen = {"zero": 0, "constant": 0, "high": 0, "zero-coordinate": 0}
+    if field != QQ:
+        seen.update(negative=0, unreduced=0, fraction=0)
     for _ in range(300):
         fs = [poly() for _ in range(rng.randint(1, 5))]
         point = [coordinate() for _ in amb.names]
@@ -1032,6 +1072,12 @@ def test_evaluator_matches_reference(field):
                                 for f in fs)
         seen["high"] += any(max(m) > 10 for f in fs for m, _ in f.items())
         seen["zero-coordinate"] += 0 in point
+        if field != QQ:
+            seen["negative"] += any(isinstance(x, int) and x < 0
+                                    for x in point)
+            seen["unreduced"] += any(isinstance(x, int) and x >= field.p
+                                     for x in point)
+            seen["fraction"] += any(isinstance(x, Fraction) for x in point)
     assert min(seen.values()) >= 20, seen
 
 

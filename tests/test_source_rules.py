@@ -59,7 +59,10 @@ def test_every_stage_record_field_is_read():
     The check matches attribute names, not classes: `ast` carries no
     types, so a field passes whenever any object's attribute of the same
     name is read.  GermAnalysis.models, for one, had no reader, and the
-    `.models` reads of the two-ray game's LinkTrace hid it.
+    `.models` reads of the two-ray game's LinkTrace hid it.  Nor can it
+    see inside a field that holds a dict: a key that nothing reads
+    passes, since a subscript names no attribute.  The cE6 parameters
+    "g2" and "g6" once had no reader and the rule did not flag them.
     """
     reads = set()
     for folder in ("src", "tests", "bench"):
