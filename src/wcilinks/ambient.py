@@ -27,10 +27,8 @@ from ._records import record
 from .qpoly import (
     Ambient,
     QQ,
-    QPolynomial,
     WeightVector,
     _univariate_gcd,
-    substitute,
     toric_transform,
 )
 
@@ -642,14 +640,6 @@ class EmptinessCertificate:
     reason: str
 
 
-def _restrict(eq, dead):
-    """eq with the coordinates named in dead set to zero: the terms
-    that involve none of them."""
-    slots = [i for i, n in enumerate(eq.ambient.names) if n in dead]
-    return QPolynomial(eq.ambient, {
-        m: c for m, c in eq.items() if not any(m[i] for i in slots)})
-
-
 def _common_positive_weights(eqs, p, q, ambient):
     """Positive weights making every equation quasi-homogeneous in (p, q)."""
     ip, iq = ambient.index(p), ambient.index(q)
@@ -702,7 +692,7 @@ def certify_stratum_empty(equations, dead, left, right, depth=16):
         eqs = []
         if ambient is not None:
             for eq in equations:
-                r = _restrict(eq, dead)
+                r = eq.restrict(zeros=dead)
                 if not r.is_zero():
                     eqs.append(r)
         for eq in eqs:
@@ -751,14 +741,12 @@ def certify_stratum_empty(equations, dead, left, right, depth=16):
             w = _common_positive_weights(eqs, p, q, ambient)
             if w is not None:
                 # scale-invariant system: compare the two charts
-                at_p1 = [
-                    substitute(eq, {p: ambient.one()}, ambient) for eq in eqs
-                ]
+                at_p1 = [eq.restrict(ones=(p,)) for eq in eqs]
                 g = _univariate_gcd([e for e in at_p1 if not e.is_zero()], q)
                 if any(e.is_zero() for e in at_p1):
                     g = None  # an equation vanishes on the whole chart
                 if g is not None and g.is_constant():
-                    at_p0 = [_restrict(eq, {p}) for eq in eqs]
+                    at_p0 = [eq.restrict(zeros=(p,)) for eq in eqs]
                     pure = [e for e in at_p0 if not e.is_zero()]
                     if any(e.is_constant() for e in pure):
                         return EmptinessCertificate(

@@ -54,6 +54,7 @@ from .qpoly import (
     DEFAULT_PRIME,
     Evaluator,
     GF,
+    JacobianRank,
     QQ,
     QPolynomial,
     Substitution,
@@ -61,8 +62,6 @@ from .qpoly import (
     divexact,
     divides,
     irreducibility_verdict,
-    jacobian_evaluator,
-    rank_at,
     resultant,
     substitute,
 )
@@ -370,8 +369,7 @@ def normal_form_X1214(F1, F2):
              "member is too special: a12 has no t^3", CertificateError)
     _require(not c12.is_zero(),
              "member is too special: c12 vanishes", CertificateError)
-    affine = Substitution(amb, amb, {"y": amb.one()})
-    a_aff, c_aff = affine(a12), affine(c12)
+    a_aff, c_aff = a12.restrict(ones=("y",)), c12.restrict(ones=("y",))
     res = resultant(a_aff, c_aff, "t")
     _require(res.is_constant(), "resultant of univariate forms not constant")
     rval = res.constant_coefficient()
@@ -398,6 +396,8 @@ class _Sampler:
     the free coordinates at random, solves the quadratic when its
     discriminant is a square in the field, and back-substitutes.  The
     polynomials a draw evaluates are lowered once, into Evaluators.
+    The Jacobian rank reads the linear and the quadratic coordinate's
+    columns first (see quasismooth).
 
     points(n, seed) keeps the points drawn for a seed, so checks that
     share a sampler and a seed read the same points and draw each once.
@@ -437,7 +437,8 @@ class _Sampler:
         self.wslot = amb.index(self.lin) if self.lin else None
         self.free = [i for i in range(amb.nvars)
                      if i != self.vslot and i != self.wslot]
-        self._jacobian = None
+        self._rank = JacobianRank(
+            eqs, (self.lin, quad) if self.lin else (quad,))
         self._drawn = {}
 
     def draw(self, rng, tries=600):
@@ -481,10 +482,17 @@ class _Sampler:
             yield drawn[i]
 
     def quasismooth(self, pt):
-        """Exact Jacobian rank equals the codimension at pt."""
-        if self._jacobian is None:
-            self._jacobian = jacobian_evaluator(self.eqs)
-        return rank_at(self._jacobian, pt) == len(self.eqs)
+        """Exact Jacobian rank equals the codimension at pt.
+
+        The rank reads the columns of the linear (w) and the quadratic
+        (v) coordinate first, and the others only if those two fall
+        short of full row rank.  For the normal form (F1, F2) of X they
+        are (-x, z) and (lam*y*z, 2*v), of determinant
+        -(2*x*v + lam*y*z^2), and for the degree-7 model the v column is
+        u*(2*v + lam*y*z^2), so at almost every point no other column is
+        read.  Each column is derived once per sampler, when first read.
+        """
+        return self._rank(pt) == len(self.eqs)
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +696,7 @@ def construct_link_sigma(nf):
     tamb = t1.ambient
     _require(t1.coefficient_of_power("w", 1) == tamb.var("x").scale(-1),
              "the transported F1 is not of the shape -x*w + W")
-    Wt = substitute(t1.coefficient_of_power("w", 0),
-                    {"x": tamb.one()}, tamb)
+    Wt = t1.coefficient_of_power("w", 0).restrict(ones=("x",))
     hat_amb = HAT_WPS.ambient()
     W = Wt.rename(hat_amb)
     F = substitute(t2, {"x": tamb.one(), "w": Wt}, tamb).rename(hat_amb)
@@ -715,10 +722,9 @@ def construct_link_sigma(nf):
     # equation is F2 with w replaced by S12, and W restricts to S12
     chartX = substitute(nf.F2, {"x": amb.one(), "w": nf.S12},
                         amb).rename(hat_amb)
-    _require(chartX == substitute(F, {"u": hat_amb.one()}, hat_amb),
+    _require(chartX == F.restrict(ones=("u",)),
              "chart identity fails: F(u=1) != F2(x=1, w=S12)")
-    _require(substitute(W, {"u": hat_amb.one()},
-                        hat_amb).rename(amb) == nf.S12,
+    _require(W.restrict(ones=("u",)).rename(amb) == nf.S12,
              "chart identity fails: W(u=1) != S12")
 
     x, y, z, t, v, w = (amb.var(n) for n in X_NAMES)
@@ -805,7 +811,7 @@ def singularity_census_hatX(hat):
     # the coordinate curve u = y = t = 0 lies on the model; along it the
     # only nonvanishing restricted derivative is v^2 in the u-slot, so
     # the model is quasismooth there away from qhat = (v = 0)
-    on_curve = substitute(F, {"u": 0, "y": 0, "t": 0}, hat_amb)
+    on_curve = F.restrict(zeros=("u", "y", "t"))
     _require(on_curve.is_zero(),
              "the coordinate curve (u = y = t = 0) is not on the model")
     _, entries = quasismooth_on_stratum((F,), ("u", "y", "t"))
@@ -817,7 +823,7 @@ def singularity_census_hatX(hat):
     # the germ at qhat in the affine chart z = 1, in filtration
     # coordinates (x, y, z, t) = (u, t, y, v) of weights (3, 2, 1, 2)
     amb4 = Ambient(("x", "y", "z", "t"))
-    f_germ = substitute(F, {"z": hat_amb.one()}, hat_amb).rename(
+    f_germ = F.restrict(ones=("z",)).rename(
         amb4, {"u": "x", "t": "y", "y": "z", "v": "t"})
     analysis = analyze_cE6_germ(f_germ)
     e_verdict = analysis.e_verdict
@@ -1052,12 +1058,12 @@ def _curve_maps(hat_amb):
     """The maps exclude_degree_one_curves applies, on one model ambient.
 
     None depends on the member: the general graph t = T(u,y,z),
-    v = V(u,y,z) into the ambient of its 14 parameters, the restriction
-    to the surface (u = 0), the candidate graphs t = a*z^2 + b*y*z
-    + c*y^2 on it, a = 0, b = 0, and the binary chart y = 1, t = c.
-    They are built once per model ambient, and each Substitution keeps
-    the powers and products it has expanded, so every member after the
-    first reuses the expansion of the graph.
+    v = V(u,y,z) into the ambient of its 14 parameters, the candidate
+    graphs t = a*z^2 + b*y*z + c*y^2 on the surface (u = 0), and the
+    binary chart y = 1, t = c.  They are built once per model ambient,
+    and each Substitution keeps the powers and products it has
+    expanded, so every member after the first reuses the expansion of
+    the graph.
     """
     field = hat_amb.field
     params = ("a1", "a2", "a3", "a4", "a5",
@@ -1077,11 +1083,8 @@ def _curve_maps(hat_amb):
     av, bv, cv = ext3.var("a"), ext3.var("b"), ext3.var("c")
     return (
         Substitution(hat_amb, ext, {"t": T, "v": V}),
-        Substitution(hat_amb, hat_amb, {"u": 0}),
         Substitution(hat_amb, ext3,
                      {"t": av * za**2 + bv * ya * za + cv * ya**2}),
-        Substitution(ext3, ext3, {"a": 0}),
-        Substitution(ext3, ext3, {"b": 0}),
         Substitution(hat_amb, ext3, {"y": ext3.one(), "t": cv}),
     )
 
@@ -1106,12 +1109,11 @@ def exclude_degree_one_curves(hat):
     hat_amb = F.ambient
     field = hat_amb.field
 
-    section = substitute(F, {"u": 0, "y": 0}, hat_amb)
+    section = F.restrict(zeros=("u", "y"))
     _require(section == hat_amb.monomial((0, 0, 1, 3, 0), hat.mu),
              "the section of the model by (u = y = 0) is not mu*z*t^3")
 
-    graph, on_surface, surface_graph, drop_a, drop_b, binary = (
-        _curve_maps(hat_amb))
+    graph, surface_graph, binary = _curve_maps(hat_amb)
     ext = graph.target
     phi = graph(F)
     buckets = phi.as_univariate("z")
@@ -1123,15 +1125,15 @@ def exclude_degree_one_curves(hat):
              "the graph substitution does not isolate alpha*u^2 in the"
              " top z-bucket")
 
-    surface_eq = on_surface(F)
+    surface_eq = F.restrict(zeros=("u",))
     yh, zh = hat_amb.var("y"), hat_amb.var("z")
     _require(surface_eq == zh * hat.a6 + yh * hat.c6,
              "the surface (u = 0) is not z*a6 + y*c6")
     ext3 = binary.target
     ya, za = ext3.var("y"), ext3.var("z")
     s2 = surface_graph(surface_eq)
-    s3 = drop_a(s2)
-    s4 = drop_b(s3)
+    s3 = s2.restrict(zeros=("a",))
+    s4 = s3.restrict(zeros=("b",))
     a_c, c_c = binary(hat.a6), binary(hat.c6)
     _require(s2.coefficient_of_power("z", 7)
              == ext3.monomial((0, 0, 3, 0, 0), hat.mu)
@@ -1149,9 +1151,12 @@ def exclude_degree_one_curves(hat):
 
 @record
 class InvolutionData:
-    """The biregular involution of the model and its lift to X."""
+    """The biregular involution of the model and its lift to X.
 
-    chi: Substitution
+    chi is the deck involution's image of v; it fixes u, y, z and t.
+    """
+
+    chi: QPolynomial
     iota: tuple
     scale_degree: int
     valuations: tuple
@@ -1226,8 +1231,7 @@ def build_involutions(nf, sigma_link):
              "the involution is not equivariant on F1")
     _require(apply_iota(nf.F2) == nf.F2 * x**(14 * m),
              "the involution is not equivariant on F2")
-    on_chart = Substitution(amb, amb, {"x": amb.one()})
-    chart = {n: on_chart(e) for n, e in imap.items()}
+    chart = {n: e.restrict(ones=("x",)) for n, e in imap.items()}
     apply_chart = Substitution(amb, amb, chart)
     _require(all(apply_chart(chart[n]) == amb.var(n) for n in X_NAMES[1:])
              and apply_chart(chart["x"]) == amb.one(),
@@ -1243,7 +1247,7 @@ def build_involutions(nf, sigma_link):
     _require((val_v != val_chi) == (hat.lam != 0),
              "the valuation witness disagrees with the vanishing of lam")
 
-    return InvolutionData(chi=chi, iota=iota, scale_degree=scale_degree,
+    return InvolutionData(chi=vimg, iota=iota, scale_degree=scale_degree,
                           valuations=(val_v, val_chi))
 
 
@@ -1302,15 +1306,17 @@ def verify_involution(equations, wps, images, samples=100, seed=0,
 
 @record
 class LinkClassification:
-    """All candidate centers of the member, each settled."""
+    """All candidate centers of the member, each settled.
+
+    The census of X, the curve exclusion and the involutions are read
+    from their link_stages artifacts; the hatX-curves report holds the
+    curve exclusion.
+    """
 
     normal_form: NormalFormX1214
-    census: CensusX
     sigma: SigmaLink
     hat_census: CensusHatX
     exclusions: tuple
-    curves: CurveExclusion
-    involutions: InvolutionData
     involution_check: InvolutionCheck
     reports: tuple
     germ_count: int
@@ -1462,10 +1468,9 @@ def link_stages(F1, F2, samples=40, seed=0, field=None):
         " by the computed certificates or the cited statements"
     )
     yield "classification", LinkClassification(
-        normal_form=nf, census=census, sigma=sigma,
-        hat_census=hat_census, exclusions=exclusions,
-        curves=curves, involutions=involutions,
-        involution_check=inv_check, reports=tuple(reports),
+        normal_form=nf, sigma=sigma, hat_census=hat_census,
+        exclusions=exclusions, involution_check=inv_check,
+        reports=tuple(reports),
         germ_count=germ_count, divisor_links=divisor_links,
         elementary_from_qhat=elementary_from_qhat, citations=citations,
         solid=True, summary=summary,

@@ -8,7 +8,9 @@ reduced mod p.  No floating point is used anywhere.
 
 Beyond ring arithmetic the module provides the operations the geometric
 layers are built on: weighted filtrations (weight_of, w_component,
-quasi_homogeneous_degree), ring homomorphisms (substitute), the graded
+quasi_homogeneous_degree), ring homomorphisms (substitute), setting
+coordinates to 0 or 1 by exponents (QPolynomial.restrict), exact
+Jacobian ranks read column by column (JacobianRank), the graded
 transform that inserts a scaling variable u (toric_transform), Sylvester
 resultants with polynomial entries via fraction-free Bareiss elimination,
 exact polynomial square roots, and a rule-based irreducibility verdict with
@@ -38,6 +40,7 @@ __all__ = [
     "ExactDivisionError",
     "GF",
     "IrreducibilityVerdict",
+    "JacobianRank",
     "PrimeField",
     "QQ",
     "QPolynomial",
@@ -48,10 +51,8 @@ __all__ = [
     "evaluate",
     "irreducibility_verdict",
     "jacobian",
-    "jacobian_evaluator",
     "parse",
     "polynomial_sqrt",
-    "rank_at",
     "resultant",
     "substitute",
     "toric_transform",
@@ -670,6 +671,43 @@ class QPolynomial:
                 if not field.is_zero(dc):
                     terms[m[:i] + (e - 1,) + m[i + 1 :]] = dc
         return _poly(self.ambient, terms)
+
+    def restrict(self, zeros=(), ones=()):
+        """The polynomial with the coordinates named in zeros set to 0 and
+        those named in ones set to 1, by exponents alone.
+
+        A term with a positive exponent at a zero is dropped, the
+        exponents at the ones are cleared, and terms that land on one
+        monomial are added in term order, a zero sum dropped.  So the
+        result has the terms, in the same order, of the Substitution that
+        sends those coordinates to 0 and 1 and fixes the others, without
+        building one.  A name off the ambient is ignored, as a
+        Substitution ignores it.
+        """
+        index = self.ambient._index
+        dead = [index[n] for n in zeros if n in index]
+        unit = [index[n] for n in ones if n in index]
+        terms = self.terms
+        if dead:
+            terms = {m: c for m, c in terms.items()
+                     if not any(m[i] for i in dead)}
+        if not unit:
+            return _poly(self.ambient, terms) if dead else self
+        add, is_zero = self.ambient.field.add, self.ambient.field.is_zero
+        out = {}
+        for m, c in terms.items():
+            if any(m[i] for i in unit):
+                m = list(m)
+                for i in unit:
+                    m[i] = 0
+                m = tuple(m)
+            if m in out:
+                c = add(out[m], c)
+                if is_zero(c):
+                    del out[m]
+                    continue
+            out[m] = c
+        return _poly(self.ambient, out)
 
     def rename(self, new_ambient, mapping=None):
         """Move to another ambient, matching variables by name.
@@ -1486,22 +1524,52 @@ def jacobian(fs):
     return [[f.derivative(n) for n in ambient.names] for f in fs]
 
 
-def jacobian_evaluator(fs):
-    """The jacobian of fs lowered row after row into one Evaluator."""
-    return Evaluator([e for row in jacobian(fs) for e in row])
+class JacobianRank:
+    """The exact rank of the jacobian of fs at points, read by columns.
 
+    The column of a coordinate holds the partial derivatives of fs by it.
+    A call reads the columns of the coordinates named in first, then the
+    others in ambient order, and stops once the columns read have rank
+    len(fs), the full row rank, which the whole matrix then has too;
+    only where they never reach it does it read every column.  So the
+    result is the exact rank, and at a point of full rank it costs the
+    columns that reach it.  A column is derived and lowered into an
+    Evaluator the first time a call reads it, and kept.
+    """
 
-def rank_at(jac, point):
-    """Exact rank at a point of a jacobian lowered by jacobian_evaluator."""
-    vals = jac(point)
-    n = len(jac.top)
-    rows = [vals[k:k + n] for k in range(0, len(vals), n)]
-    return _eliminate(rows, jac.field)[0]
+    __slots__ = ("fs", "field", "order", "columns")
+
+    def __init__(self, fs, first=()):
+        fs = tuple(fs)
+        if not fs:
+            raise ValueError("empty system")
+        ambient = fs[0].ambient
+        self.fs, self.field = fs, ambient.field
+        self.order = tuple(first) + tuple(
+            n for n in ambient.names if n not in first)
+        self.columns = {}
+
+    def __call__(self, point):
+        rows = len(self.fs)
+        read = []
+        rank = 0
+        for name in self.order:
+            column = self.columns.get(name)
+            if column is None:
+                column = self.columns[name] = Evaluator(
+                    f.derivative(name) for f in self.fs)
+            read.append(column(point))
+            # the transpose of the columns read has their rank
+            if len(read) >= rows or len(read) == len(self.order):
+                rank = _eliminate(read, self.field)[0]
+                if rank == rows:
+                    break
+        return rank
 
 
 def matrix_rank_at(fs, point):
-    """Exact rank of the jacobian of fs at a point."""
-    return rank_at(jacobian_evaluator(fs), point)
+    """Exact rank of the jacobian of fs at a point, read by JacobianRank."""
+    return JacobianRank(fs)(point)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ irreducibility verdict for the first exceptional model.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from ._records import record
@@ -260,10 +261,8 @@ def quasismooth_on_stratum(equations, stratum_vars):
     vanish simultaneously with rank defect.
     """
     amb = equations[0].ambient
-    zero_map = {n: amb.zero() for n in stratum_vars}
-    restricted = []
-    for row in jacobian(equations):
-        restricted.append([substitute(e, zero_map, amb) for e in row])
+    restricted = [[e.restrict(zeros=stratum_vars) for e in row]
+                  for row in jacobian(equations)]
     entries = [
         (j, amb.names[k], e)
         for j, row in enumerate(restricted)
@@ -367,6 +366,29 @@ class ChartCheck:
     orders: tuple
 
 
+@lru_cache(maxsize=8)
+def _chart_maps(amb, nums):
+    """(name, chart substitution) of each chart of the weighted blowup.
+
+    In the chart of coordinate x_i the blowup with weights nums sends
+    x_j -> x_j * x_i^nums[j] and x_i -> x_i^nums[i].  The maps depend on
+    the ambient and the weights alone, and the pipeline blows up the
+    same few germ ambients with the same weights for every member, so
+    they are built once per (ambient, weights).  Every image is one
+    term, so a map keeps no expansion from one call to the next.
+    """
+    maps = []
+    for i, name in enumerate(amb.names):
+        mapping = {}
+        for j, other in enumerate(amb.names):
+            if j == i:
+                mapping[other] = amb.var(other) ** nums[i]
+            else:
+                mapping[other] = amb.var(other) * amb.var(name) ** nums[j]
+        maps.append((name, Substitution(amb, amb, mapping)))
+    return tuple(maps)
+
+
 def discrepancy_chart_oracle(germ, b):
     """Re-derive blowup orders by explicit chart substitutions.
 
@@ -374,26 +396,18 @@ def discrepancy_chart_oracle(germ, b):
     and x_i -> x_i^b_i; the exceptional multiplicity of an equation is its
     exact order in x_i after substitution.  The exponent map is injective,
     so no cancellation can occur and the order is reliable.  All charts must
-    agree with each other and with the weight filtration.
+    agree with each other and with the weight filtration.  The chart maps
+    come from _chart_maps, built once per ambient and weights; every
+    equation is substituted into every chart on each call.
     """
-    amb = germ.ambient
     record = weighted_blowup_discrepancy(germ, b)
     expected = tuple(b.den * o for o in record.orders)
-    checks = []
-    for i, name in enumerate(amb.names):
-        if b.nums[i] < 1:
-            continue
-        mapping = {}
-        for j, other in enumerate(amb.names):
-            if j == i:
-                mapping[other] = amb.var(other) ** b.nums[i]
-            else:
-                mapping[other] = amb.var(other) * amb.var(name) ** b.nums[j]
-        sub = Substitution(amb, amb, mapping)
-        orders = tuple(Fraction(sub(f).order_in(name)) for f in germ.equations)
-        checks.append(ChartCheck(chart=name, orders=orders))
+    checks = tuple(
+        ChartCheck(chart=name, orders=tuple(
+            Fraction(sub(f).order_in(name)) for f in germ.equations))
+        for name, sub in _chart_maps(germ.ambient, b.nums))
     agreement = all(c.orders == expected for c in checks)
-    return record, tuple(checks), agreement
+    return record, checks, agreement
 
 
 def blowup_at_point(wps, equations, point, weights):
@@ -409,7 +423,7 @@ def blowup_at_point(wps, equations, point, weights):
     rest = tuple(n for n in wps.names if n != point)
     chart = Ambient(rest, amb.field)
     r = wps.weight(point)
-    eqs = tuple(substitute(f, {point: amb.one()}, amb).rename(chart)
+    eqs = tuple(f.restrict(ones=(point,)).rename(chart)
                 for f in equations)
     germ = Germ(chart, eqs, r, tuple(wps.weight(n) % r for n in rest))
     return discrepancy_chart_oracle(
@@ -496,9 +510,7 @@ def analyze_cA2_germ(g):
     # chart at the first coordinate: the germ is linear in the second, so
     # it is a smooth hypersurface in A^4 / (Z/5)(1,2,2,4); eliminating the
     # linear coordinate leaves the quotient point 1/5(1,2,4)
-    chart_eq = toric_transform(f, b, "e")
-    ext = chart_eq.ambient
-    chart_eq = substitute(chart_eq, {"x": ext.one()}, ext)
+    chart_eq = toric_transform(f, b, "e").restrict(ones=("x",))
     _require(chart_eq.degree_in("y") == 1
              and chart_eq.coefficient_of_power("y", 1).is_constant(),
              "the cA/2 chart equation is not linear in y")
@@ -641,7 +653,7 @@ def analyze_cE6_germ(f):
         quarter = field.inv(field.coerce(4))
         corr = YZ.const(a_c) * Yv + YZ.const(b_c) * Zv
         G = G - Zv * corr * corr.scale(quarter)
-    p = substitute(G, {"Z": YZ.one()}, YZ)
+    p = G.restrict(ones=("Z",))
     _require(not resultant(p, p.derivative("Y"), "Y").is_zero(),
              "compound E6 gates failed at qhat: ['cubic_simple_roots']",
              CertificateError)
@@ -665,9 +677,8 @@ def analyze_cE6_germ(f):
     # chart of the t-coordinate: substitute, divide by t^6, re-embed with
     # s = x + (coefficient of x); the chart carries a Z/2(1,0,1,1,1) action
     lifted = toric_transform(f, w, "T")
-    ext = lifted.ambient
     chart_amb = Ambient((xn, yn, zn, tn, "s"), field)
-    chart_f = substitute(lifted, {tn: ext.one()}, ext).rename(
+    chart_f = lifted.restrict(ones=(tn,)).rename(
         chart_amb, {"T": tn}
     )
     c0 = chart_f.coefficient_of_power(xn, 0)

@@ -213,7 +213,8 @@ def test_criterion_7_involutions():
         link = _sigma()
         inv = build_involutions(nf, link)
         hat = link.hat
-        assert inv.chi(hat.F) == hat.F
+        hamb = hat.F.ambient
+        assert substitute(hat.F, {"v": inv.chi}, hamb) == hat.F
         amb = nf.F1.ambient
         x = amb.var("x")
         imap = dict(zip(amb.names, inv.iota))

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from wcilinks.ambient import (
-    _restrict,
     ConeZ2,
     DivisorClass,
     Rank2Toric,
@@ -257,19 +256,26 @@ def test_game_rejects_bad_split():
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
 def test_restrict_is_substituting_zeros(T61, field):
-    # the term filter gives the substitution of zero for each dead
-    # coordinate, term order included; a dead name off the ambient is
-    # ignored, as the substitution ignores it
+    # setting coordinates to 0, to 1, or some to 0 and others to 1 by
+    # exponents gives the substitution of those constants, term order
+    # included; a name off the ambient is ignored, as the substitution
+    # ignores it.  Exponents up to 2 and coefficients in -5..5 make
+    # colliding terms, and cancelling ones, common.
     amb = T61.ambient(field)
     rng = random.Random(f"restrict/{field!r}")
-    for _ in range(100):
+    for trial in range(300):
         f = QPolynomial(amb, {
             tuple(rng.randint(0, 2) for _ in amb.names):
                 field.coerce(rng.randint(-5, 5))
             for _ in range(rng.randint(0, 12))})
-        dead = set(rng.sample(amb.names + ("s",), rng.randint(0, 4)))
-        want = substitute(f, {n: 0 for n in dead if n in amb.names}, amb)
-        got = _restrict(f, dead)
+        chosen = rng.sample(amb.names + ("s",), rng.randint(0, 4))
+        # by thirds: zeros only, ones only, then a mixed split
+        cut = (len(chosen), 0, rng.randint(0, len(chosen)))[trial % 3]
+        zeros, ones = set(chosen[:cut]), set(chosen[cut:])
+        mapping = {n: 0 for n in zeros} | {n: amb.one() for n in ones}
+        want = substitute(
+            f, {n: c for n, c in mapping.items() if n in amb.names}, amb)
+        got = f.restrict(zeros=zeros, ones=ones)
         assert got.ambient == amb
         assert list(got.items()) == list(want.items())
 

@@ -273,18 +273,21 @@ class TestQsmooth:
 
     def test_one_jacobian_for_all_batches(self, member_path, capsys,
                                           monkeypatch):
-        # 60 points are three batches of 25, 25 and 10, on one sampler
-        calls = []
-        inner = wcilinks.qpoly.jacobian
+        # 60 points are three batches of 25, 25 and 10, on one sampler,
+        # which derives each Jacobian column it reads once: w and v,
+        # one partial derivative per equation, are enough at every point
+        derived = []
+        derivative = wcilinks.qpoly.QPolynomial.derivative
 
-        def counted(fs):
-            calls.append(len(fs))
-            return inner(fs)
+        def counted(f, name):
+            derived.append(name)
+            return derivative(f, name)
 
-        monkeypatch.setattr(wcilinks.qpoly, "jacobian", counted)
+        monkeypatch.setattr(wcilinks.qpoly.QPolynomial, "derivative",
+                            counted)
         report = run_json(["qsmooth", member_path, "--samples", "60"], capsys)
         assert step(report, "sampled")["quasismooth_samples"] == 60
-        assert calls == [2]
+        assert derived == ["w", "w", "v", "v"]
 
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
     def test_parallel_is_capped_at_the_cpu_count(self, member_path, capsys,

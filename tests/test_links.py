@@ -285,17 +285,20 @@ class TestCensusX:
         assert nf.mu != 0 and nf.resultant != 0
 
     def test_census_derives_the_jacobian_once(self, nf, monkeypatch):
-        calls = []
-        jacobian = qpoly.jacobian
+        # the sampler derives a Jacobian column, one partial derivative
+        # per equation, the first time the rank reads it: w and v first,
+        # and at these 20 points of a generic member no other column
+        derived = []
+        derivative = qpoly.QPolynomial.derivative
 
-        def counted(fs):
-            calls.append(len(fs))
-            return jacobian(fs)
+        def counted(f, name):
+            derived.append(name)
+            return derivative(f, name)
 
-        monkeypatch.setattr(qpoly, "jacobian", counted)
+        monkeypatch.setattr(qpoly.QPolynomial, "derivative", counted)
         census = singularity_census_X(nf, samples=20)
         assert census.samples == 20
-        assert calls == [2]
+        assert derived == ["w", "w", "v", "v"]
 
     def test_census_random(self):
         F1, F2 = random_member(3)
@@ -649,9 +652,13 @@ class TestInvolutions:
     def test_chi_and_iota(self, nf, sigma):
         data = build_involutions(nf, sigma)
         hat = sigma.hat
-        assert data.chi(hat.F) == hat.F
-        assert [data.chi(img) for img in data.chi.images] == [
-            hat.F.ambient.var(n) for n in HAT_WPS.names]
+        hamb = hat.F.ambient
+        # chi sends v to data.chi and fixes u, y, z, t
+        assert data.chi == -hamb.var("v") - hamb.parse("y*z^2").scale(
+            nf.lam)
+        chi = {"v": data.chi}
+        assert substitute(hat.F, chi, hamb) == hat.F
+        assert substitute(data.chi, chi, hamb) == hamb.var("v")
         assert data.scale_degree == 2
         # the two extractions over qhat differ: v and its chi-image have
         # different valuations
@@ -724,7 +731,9 @@ class TestInvolutions:
             assert rem == 0
 
             data = build_involutions(nf, link)
-            chi = mapping(HAT_WPS.names, data.chi.images)
+            # chi sends v to data.chi and fixes u, y, z, t
+            fixed = [link.hat.F.ambient.var(n) for n in HAT_WPS.names[:-1]]
+            chi = mapping(HAT_WPS.names, fixed + [data.chi])
             assert fhat.compose(chi) == fhat
             assert [img.compose(chi) for _, img in chi] == [
                 gens[n] for n in HAT_WPS.names]
@@ -795,37 +804,38 @@ class TestClassification:
         assert cls.sigma is art["sigma"]
         assert cls.involution_check is art["involution-check"]
         assert cls.exclusions is art["exclusions"]
-        assert cls.census is art["census"]
         assert cls.hat_census is art["hat-census"]
-        assert cls.curves is art["curves"]
-        assert cls.involutions is art["involutions"]
+        # the census, the curve exclusion and the involutions are read
+        # from their stages; a report holds the curve exclusion
+        curves = [r for r in cls.reports if r.name == "hatX-curves"]
+        assert curves[0].exceptional is art["curves"]
+        assert art["census"].singular["w"].type_label() == "1/11(1,2,9)"
+        assert art["involutions"].scale_degree == 2
         assert art["census"].samples == 5
         assert art["involution-check"].samples == 5
 
     def test_memos_carry_no_member_state(self, lam0_member):
-        # the three two-ray games and the maps of the curve exclusion are
-        # kept for the process: members A, B, A classified with them warm
-        # give the records of calls made with them cleared; A and B differ
-        # in lam, a12 and c12
-        def fields(cls):
-            # chi is a map, compared by its images
-            out = dict(vars(cls))
-            out["involutions"] = dict(vars(cls.involutions),
-                                      chi=cls.involutions.chi.images)
-            return out
-
+        # the three two-ray games, the maps of the curve exclusion and the
+        # blowup chart maps are kept for the process: members A, B, A
+        # classified with them warm give the records of calls made with
+        # them cleared; A and B differ in lam, a12 and c12
         def fresh(member):
             ambient.run_two_ray_game.cache_clear()
             links._curve_maps.cache_clear()
-            return fields(classify_links(*member, samples=5, seed=1))
+            singular._chart_maps.cache_clear()
+            return vars(classify_links(*member, samples=5, seed=1))
 
         members = (lam0_member, random_member(4), lam0_member)
         want = [fresh(member) for member in members]
-        got = [fields(classify_links(*member, samples=5, seed=1))
+        got = [vars(classify_links(*member, samples=5, seed=1))
                for member in members]
         assert got == want
         assert ambient.run_two_ray_game.cache_info().hits == 9
         assert links._curve_maps.cache_info().hits == 3
+        # four blowups per member: sigma's, the cE6 germ's E and the two
+        # exclusion blowups
+        charts = singular._chart_maps.cache_info()
+        assert (charts.hits, charts.currsize) == (12, 4)
 
     def test_census_draws_are_capped(self, main_member):
         # the involution check draws every requested point, the census

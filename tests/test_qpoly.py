@@ -12,6 +12,7 @@ from wcilinks.qpoly import (
     Evaluator,
     ExactDivisionError,
     GF,
+    JacobianRank,
     QQ,
     QPolynomial,
     Substitution,
@@ -32,6 +33,13 @@ from wcilinks.qpoly import (
     _eliminate,
     _univariate_gcd,
     det,
+)
+from wcilinks.links import (
+    X_NAMES,
+    X_WPS,
+    _Sampler,
+    normal_form_X1214,
+    random_member,
 )
 
 
@@ -920,6 +928,37 @@ def test_evaluate(A):
     assert evaluate(f, [2, 3, 1]) == Fraction(23, 2)
 
 
+def _check_columnwise_rank(field, points):
+    """The column-wise rank of a member's Jacobian is the rank of the
+    full matrix by one elimination, at ten points and at three where
+    the columns read first, w and v, are dependent."""
+    nf = normal_form_X1214(*random_member(3))
+    amb = Ambient(X_NAMES, field)
+    fs = (nf.F1.rename(amb), nf.F2.rename(amb))
+    points = points(fs)
+    assert len(points) == 10
+    # for the normal form the w and v columns are (-x, z) and
+    # (lam*y*z, 2*v); v = -lam*y*z^2/(2*x) makes them proportional, and
+    # at the w-point of X and at the origin both are zero
+    x, y, z, t = (field.coerce(c) for c in (1, 2, 3, 5))
+    lam = field.coerce(nf.lam)
+    v = field.neg(field.mul(field.mul(lam, y), field.mul(z, z)))
+    v = field.mul(v, field.inv(field.mul(field.coerce(2), x)))
+    dependent = [(x, y, z, t, v, field.zero()),
+                 (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0)]
+    ranks = []
+    for pt in points + dependent:
+        full = [[evaluate(e, pt) for e in row] for row in jacobian(fs)]
+        rank = JacobianRank(fs, ("w", "v"))
+        ranks.append(rank(pt))
+        assert ranks[-1] == matrix_rank_at(fs, pt) == _eliminate(
+            full, field)[0]
+        # where w and v fall short the other columns are read
+        if pt in dependent:
+            assert len(rank.columns) > 2
+    assert ranks == [2] * 12 + [0]
+
+
 def test_jacobian_rank(A):
     fs = [A.parse("x^2 + y^2 + z^2"), A.parse("x*y")]
     J = jacobian(fs)
@@ -927,6 +966,11 @@ def test_jacobian_rank(A):
     assert J[1][2].is_zero()
     assert matrix_rank_at(fs, [1, 0, 0]) == 2
     assert matrix_rank_at(fs, [0, 0, 0]) == 0
+    # over Q a member has few points to sample, so the ten points are
+    # seeded points of the ambient
+    rng = random.Random("jacobian-rank/Q")
+    _check_columnwise_rank(QQ, lambda fs: [
+        tuple(QQ.random(rng) for _ in X_NAMES) for _ in range(10)])
 
 
 def test_jacobian_rank_over_a_prime_field():
@@ -939,6 +983,9 @@ def test_jacobian_rank_over_a_prime_field():
     assert matrix_rank_at(fs, [1, 1, -3]) == 1
     assert matrix_rank_at(fs, [1, 1, 98]) == 1
     assert matrix_rank_at(fs, [0, 0, 0]) == 1
+    # ten seeded points of the member
+    _check_columnwise_rank(GF(101), lambda fs: list(
+        _Sampler(fs, X_WPS, GF(101)).points(10, seed=0)))
 
 
 def _scalar_matrices(field, rng):

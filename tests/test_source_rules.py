@@ -3,9 +3,11 @@
 Only qpoly.py knows how a polynomial stores its terms: every other module
 reads them through QPolynomial.items(), so a change of representation
 stays inside qpoly.py.  No check of the package is an `assert`
-statement, which `python -O` strips.  And every field of a @record
-class of the package is read, as an attribute of its name, somewhere in
-src/, tests/ or bench/, so a record holds nothing that no code uses.
+statement, which `python -O` strips.  Every field of a @record class of
+the package is read, as an attribute of its name, somewhere in src/,
+tests/ or bench/, so a record holds nothing that no code uses.  And no
+substitution of the package sets coordinates to the constants 0 and 1
+only: QPolynomial.restrict does that by exponents, the one path for it.
 This test parses the sources with `ast`; it imports nothing from the
 package.
 """
@@ -75,3 +77,62 @@ def test_every_stage_record_field_is_read():
     assert fields
     unread = [f"{cls}.{name}" for cls, name in fields if name not in reads]
     assert not unread, f"record fields nobody reads: {unread}"
+
+
+def _is_zero_or_one(node):
+    """The literal 0 or 1, or a call of .zero() or .one()."""
+    if isinstance(node, ast.Constant):
+        return node.value in (0, 1)
+    return (isinstance(node, ast.Call) and not node.args
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("zero", "one"))
+
+
+def _mapping_images(mapping, scope):
+    """The image nodes of a substitution's mapping argument: a dict
+    display, a dict comprehension, or a name assigned one of them in
+    the enclosing function; None when they cannot be read off."""
+    if isinstance(mapping, ast.Name):
+        found = [node.value for node in ast.walk(scope)
+                 if isinstance(node, ast.Assign) and len(node.targets) == 1
+                 and isinstance(node.targets[0], ast.Name)
+                 and node.targets[0].id == mapping.id]
+        if len(found) != 1:
+            return None
+        mapping = found[0]
+    if isinstance(mapping, ast.Dict):
+        return mapping.values
+    if isinstance(mapping, ast.DictComp):
+        return [mapping.value]
+    return None
+
+
+# the position of the mapping argument of each substitution entry point
+_MAPPING_ARG = {"Substitution": 2, "substitute": 1}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_substitution_of_only_zeros_and_ones(path):
+    tree = _tree(path)
+    scopes = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)] + [tree]
+    sites = set()
+    for scope in scopes:
+        for node in ast.walk(scope):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name not in _MAPPING_ARG:
+                continue
+            at = _MAPPING_ARG[name]
+            mapping = (node.args[at] if len(node.args) > at else next(
+                (k.value for k in node.keywords if k.arg == "mapping"),
+                None))
+            images = _mapping_images(mapping, scope)
+            if images and all(map(_is_zero_or_one, images)):
+                sites.add(node.lineno)
+    assert not sites, (
+        f"{path.name} substitutes only 0 and 1 at lines {sorted(sites)};"
+        " use QPolynomial.restrict")
