@@ -334,13 +334,18 @@ class Rank2Toric:
         return DivisorClass(*seen.pop())
 
 
-def blowup_ambient(wps, center, weights, uname="u"):
+# the name of the exceptional coordinate of every blowup ambient
+_EXCEPTIONAL = "u"
+
+
+def blowup_ambient(wps, center, weights):
     """Rank-two toric ambient of a weighted blowup of a coordinate point.
 
     weights maps every non-center coordinate name to its positive blowup
     weight.  Columns are ordered: exceptional coordinate, center, then the
     remaining coordinates by increasing slope of (degree, weight), ties in
     original order.  Contracting the exceptional divisor recovers wps.
+    The exceptional coordinate is named u, which wps must not use.
     """
     ci = wps.index(center)
     r = wps.weights[ci]
@@ -357,10 +362,10 @@ def blowup_ambient(wps, center, weights, uname="u"):
     if len(weights) != len(rest):
         extra = set(weights) - {n for n, _, _, _ in rest}
         raise ValueError(f"unexpected blowup weights for {sorted(extra)}")
-    if uname in wps.names:
-        raise ValueError(f"coordinate name {uname!r} already in use")
+    if _EXCEPTIONAL in wps.names:
+        raise ValueError(f"coordinate name {_EXCEPTIONAL!r} already in use")
     rest.sort(key=lambda t: (Fraction(t[2], t[1]), t[3]))
-    names = [uname, center] + [t[0] for t in rest]
+    names = [_EXCEPTIONAL, center] + [t[0] for t in rest]
     cols = [(0, -r), (r, 0)] + [(t[1], t[2]) for t in rest]
     return Rank2Toric(tuple(names), tuple(cols), 2)
 
@@ -378,7 +383,7 @@ def blowup_weight_vector(wps, center, weights):
     return WeightVector(tuple(nums), wps.weights[ci])
 
 
-def transport_equation(f, wps, center, weights, toric, uname="u"):
+def transport_equation(f, wps, center, weights, toric):
     """Insert the exceptional coordinate into f and order for the toric.
 
     Applies the graded transform along the blowup filtration (dividing by
@@ -386,7 +391,7 @@ def transport_equation(f, wps, center, weights, toric, uname="u"):
     the result into the toric ambient's coordinate order.
     """
     w = blowup_weight_vector(wps, center, weights)
-    lifted = toric_transform(f, w, uname)
+    lifted = toric_transform(f, w, _EXCEPTIONAL)
     return lifted.rename(toric.ambient(f.ambient.field))
 
 
@@ -669,7 +674,11 @@ def _common_positive_weights(eqs, p, q, ambient):
     return (w[0] // g, w[1] // g)
 
 
-def certify_stratum_empty(equations, dead, left, right, depth=16):
+# how many branchings deep certify_stratum_empty goes before it gives up
+_STRATUM_DEPTH = 16
+
+
+def certify_stratum_empty(equations, dead, left, right):
     """Try to prove a coordinate stratum has no stable solutions.
 
     equations live on an ambient containing all coordinates; dead is the
@@ -778,7 +787,7 @@ def certify_stratum_empty(equations, dead, left, right, depth=16):
                     )
         return EmptinessCertificate(False, "no certification rule applies")
 
-    return recurse(frozenset(dead), depth)
+    return recurse(frozenset(dead), _STRATUM_DEPTH)
 
 
 # ---------------------------------------------------------------------------

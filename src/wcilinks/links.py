@@ -880,19 +880,6 @@ def condition_check(hat):
       * the w2-part of weight four is y*w^2 + x^5*y^2 + lam*x^2*y*z*w;
         x*a6 and z*c6 have w2-weights 6 and 7, and every other term is
         divisible by y, so y divides F4 + F5.
-
-    The gates this check once kept, and their fates.  Gone, as the
-    identity forces them: w1_support, beta_nonzero (beta = 1, y*w^2),
-    alpha_nonzero (alpha = 1, x^5*y^2), g6_nonzero (that g6 is a6) and
-    w2_order_four.  Gone, as another stage requires them:
-    center_on_model (singularity_census_hatX puts qhat on the model),
-    mu_nonzero (normal_form_X1214), w1_order_six (_not_a_link requires
-    the discrepancy 7 - order to be one) and w1_part_irreducible
-    (_not_a_link requires the same exceptional equation certified
-    irreducible).  Gone with H, the only thing it guarded:
-    w2_six_residual_divisible.  The strict flags w2_four_exact and
-    w2_five_zero gated nothing.  Kept, as an InconsistencyError, since
-    h needs the division: w2_low_divisible_by_y.
     """
     camb = _COND_WPS.ambient(hat.F.ambient.field)
     F = hat.F.rename(

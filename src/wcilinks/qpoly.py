@@ -28,7 +28,6 @@ keeps the powers and products of its images from one call to the next.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from math import comb, isqrt
 from operator import add, mul
 
@@ -303,27 +302,15 @@ def _mul_terms(s, o, field):
 
     The outer loop runs over the shorter dict (over s on a tie), so the
     terms come out in the same order for the same operands.  A product
-    of nonzero field elements is nonzero, so only a sum can cancel; over
-    Q the loop uses the Fraction operators directly.
+    of nonzero field elements is nonzero, so only a sum can cancel.  The
+    loop uses the native operators; over F_p one pass then reduces the
+    int sums mod p and drops the terms whose residue is zero.
     """
     if len(s) > len(o):
         a, b = s, o
     else:
         a, b = o, s
     terms = {}
-    if field.characteristic:
-        fmul, fadd, is_zero = field.mul, field.add, field.is_zero
-        for mb, cb in b.items():
-            for ma, ca in a.items():
-                m = tuple(map(add, ma, mb))
-                c = fmul(ca, cb)
-                if m in terms:
-                    c = fadd(terms[m], c)
-                    if is_zero(c):
-                        del terms[m]
-                        continue
-                terms[m] = c
-        return terms
     for mb, cb in b.items():
         for ma, ca in a.items():
             m = tuple(map(add, ma, mb))
@@ -334,6 +321,9 @@ def _mul_terms(s, o, field):
                     del terms[m]
                     continue
             terms[m] = c
+    p = field.characteristic
+    if p:
+        terms = {m: r for m, c in terms.items() if (r := c % p)}
     return terms
 
 
@@ -347,29 +337,14 @@ def _mono_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-@total_ordering
-class _Grevlex:
-    """Sort key wrapper: graded reverse lexicographic order."""
+def _grevlex(mono):
+    """Sort key of the graded reverse lexicographic order.
 
-    __slots__ = ("mono", "deg")
-
-    def __init__(self, mono):
-        self.mono = mono
-        self.deg = sum(mono)
-
-    def __eq__(self, other):
-        return self.mono == other.mono
-
-    def __lt__(self, other):
-        if self.deg != other.deg:
-            return self.deg < other.deg
-        if self.mono == other.mono:
-            return False
-        # a < b iff the rightmost nonzero entry of a - b is positive
-        for x, y in zip(reversed(self.mono), reversed(other.mono)):
-            if x != y:
-                return x > y
-        return False
+    Within a degree a < b iff the rightmost nonzero entry of a - b is
+    positive, that is iff the negated exponents of a, read from the
+    right, come lexicographically before those of b.
+    """
+    return sum(mono), tuple(-e for e in reversed(mono))
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +576,13 @@ class QPolynomial:
     def sorted_terms(self):
         """Terms in descending grevlex order."""
         return sorted(
-            self.terms.items(), key=lambda kv: _Grevlex(kv[0]), reverse=True
+            self.terms.items(), key=lambda kv: _grevlex(kv[0]), reverse=True
         )
 
     def leading_term(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=_Grevlex)
+        m = max(self.terms, key=_grevlex)
         return m, self.terms[m]
 
     def coefficient(self, mono):
@@ -1240,19 +1215,18 @@ def divides(b, a):
 def _eliminate(rows, field):
     """Gaussian elimination of a matrix of field elements.
 
-    Returns (rank, product): the rank, and the product of the pivots
-    with its sign flipped once per row swap.  For a square matrix of
-    full rank the product is the determinant.  The matrix may be empty
-    or not square.
+    Returns (rank, product, pivots): the rank, the product of the pivots
+    with its sign flipped once per row swap, and the pivot columns in
+    increasing order, each column that is independent of the columns
+    before it.  For a square matrix of full rank the product is the
+    determinant.  The matrix may be empty or not square.
     """
-    p = field.characteristic
-    if p:
-        return _eliminate_mod(rows, p)
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     rank = 0
     product = field.one()
+    pivots = []
     for col in range(ncols):
         if rank == nrows:
             break
@@ -1274,42 +1248,9 @@ def _eliminate(rows, field):
             factor = field.mul(m[i][col], inv)
             for j in range(col, ncols):
                 m[i][j] = field.sub(m[i][j], field.mul(factor, m[rank][j]))
+        pivots.append(col)
         rank += 1
-    return rank, product
-
-
-def _eliminate_mod(rows, p):
-    """_eliminate over F_p, on native ints reduced mod p."""
-    m = [[a % p for a in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    product = 1
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-            product = -product % p
-        top = m[rank]
-        product = product * top[col] % p
-        inv = pow(top[col], -1, p)
-        for i in range(rank + 1, nrows):
-            row = m[i]
-            if not row[col]:
-                continue
-            factor = row[col] * inv % p
-            for j in range(col, ncols):
-                row[j] = (row[j] - factor * top[j]) % p
-        rank += 1
-    return rank, product
+    return rank, product, tuple(pivots)
 
 
 def det(matrix):
@@ -1327,7 +1268,7 @@ def det(matrix):
     field = ambient.field
     if all(all(e.is_constant() for e in row) for row in matrix):
         rows = [[e.constant_coefficient() for e in row] for row in matrix]
-        rank, product = _eliminate(rows, field)
+        rank, product, _ = _eliminate(rows, field)
         return ambient.const(product) if rank == n else ambient.zero()
     m = [list(row) for row in matrix]
     sign = 1
@@ -1428,7 +1369,7 @@ def polynomial_sqrt(f):
         qc = field.mul(rc2, field.inv(tc))
         t = QPolynomial(ambient, {qm: qc})
         new_g = g + t
-        if max(new_g.terms, key=_Grevlex) != gm:
+        if max(new_g.terms, key=_grevlex) != gm:
             return None
         g = new_g
         rem = f - g * g

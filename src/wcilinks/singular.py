@@ -205,22 +205,12 @@ def classify_quotient_singularity(equations, wps, point):
             col.append(f.coefficient(tuple(e)))
         cols[name] = col
 
-    def rank_of(names):
-        if not names:
-            return 0
-        rows = [[cols[n][j] for n in names] for j in range(c)]
-        return _eliminate(rows, field)[0]
-
-    # greedy full-rank subset in ambient coordinate order
-    eliminated = []
-    for name in wps.names:
-        if name == point or name not in cols:
-            continue
-        if rank_of(eliminated + [name]) > len(eliminated):
-            eliminated.append(name)
-        if len(eliminated) == c:
-            break
-    rank = len(eliminated)
+    # the pivot columns, in ambient coordinate order, are the first
+    # coordinates independent of those before them
+    names = list(cols)
+    rows = [[cols[n][j] for n in names] for j in range(c)]
+    rank, _, pivots = _eliminate(rows, field)
+    eliminated = [names[k] for k in pivots]
     if rank < c:
         return SingularityReport(
             point=point,

@@ -79,6 +79,8 @@ SPECIAL_DOC = {
 # keep the reports byte-identical keeps these
 FROZEN_REPORTS = {
     "verify-7": (["verify-paper", "--seed", "7"], 0, "e5b8dc2a29408c8b"),
+    "verify-7-text": (["verify-paper", "--seed", "7", "--format", "text"], 0,
+                      "be88b71825c89019"),
     "verify-462-rejected": (
         ["verify-paper", "--seed", "462", "--samples", "10"], 2,
         "bdc0dbe03325d772"),
@@ -86,6 +88,9 @@ FROZEN_REPORTS = {
                    "4b10b5471419b97d"),
     "link-7": (["link", "--random", "7", "--samples", "5"], 0,
                "097a2b78487874c1"),
+    # the model's rank-deficient z-point and the residual coordinates of
+    # its t- and v-points
+    "analyze-hat": (["analyze", "HAT"], 0, "a1c7fbe5d1e31f58"),
     "qsmooth-member": (["qsmooth", "MEMBER", "--samples", "60"], 0,
                        "27bf3259f40507e4"),
     "qsmooth-member-parallel": (
@@ -472,8 +477,8 @@ class TestDeterminism:
                              list(FROZEN_REPORTS.values()),
                              ids=list(FROZEN_REPORTS))
     def test_frozen_report_bytes(self, argv, code, digest, member_path,
-                                 lam0_path, cond_path, capsys):
-        paths = {"MEMBER": member_path, "LAM0": lam0_path,
+                                 lam0_path, hat_path, cond_path, capsys):
+        paths = {"MEMBER": member_path, "LAM0": lam0_path, "HAT": hat_path,
                  "COND": cond_path}
         argv = [paths.get(a, a) for a in argv]
         got, out, err = run_cli(argv, capsys)
@@ -481,7 +486,7 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     def test_frozen_reports_ignore_term_order(self, member_path, lam0_path,
-                                              cond_path, capsys,
+                                              hat_path, cond_path, capsys,
                                               monkeypatch):
         # term order is no part of the output: with every term dict of
         # the kernel in a seeded random order, the frozen reports keep
@@ -508,7 +513,7 @@ class TestDeterminism:
         monkeypatch.setattr(wcilinks.qpoly, "_poly", shuffled_poly)
         monkeypatch.setattr(wcilinks.qpoly.QPolynomial, "__init__",
                             shuffled_init)
-        paths = {"MEMBER": member_path, "LAM0": lam0_path,
+        paths = {"MEMBER": member_path, "LAM0": lam0_path, "HAT": hat_path,
                  "COND": cond_path}
         for name, (argv, code, digest) in FROZEN_REPORTS.items():
             if "--parallel" in argv:
@@ -521,15 +526,17 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("minor", [m for m in (10, 11, 12, 13)
                                        if m != sys.version_info.minor])
-    def test_frozen_report_bytes_across_versions(self, minor):
+    def test_frozen_report_bytes_across_versions(self, minor, hat_path):
         # the same bytes under every other CPython the package supports
         exe = _interpreter(minor)
         if exe is None:
             pytest.skip(f"no python3.{minor} installed")
         src = os.path.dirname(os.path.dirname(wcilinks.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        for name in ("verify-7", "verify-462-rejected", "link-7"):
+        for name in ("verify-7", "verify-462-rejected", "link-7",
+                     "analyze-hat"):
             argv, code, digest = FROZEN_REPORTS[name]
+            argv = [hat_path if a == "HAT" else a for a in argv]
             done = subprocess.run([exe, "-m", "wcilinks.cli", *argv],
                                   env=env, capture_output=True, timeout=120)
             assert done.returncode == code, done.stderr
@@ -580,6 +587,15 @@ class TestExitCodes:
             ["blowup", cond_path, "--center", "x", "--weights", "y=4"],
             capsys)
         assert code == 1
+
+    def test_coordinate_named_like_the_exceptional_one(self, hat_path,
+                                                       capsys):
+        # the blowup ambient names its exceptional coordinate u
+        code, _, err = run_cli(
+            ["two-ray", hat_path, "--center", "z", "--weights",
+             "u=3,y=1,t=2,v=2"], capsys)
+        assert code == 1
+        assert "'u' already in use" in err
 
     @pytest.mark.parametrize("command", ["blowup", "two-ray"])
     def test_repeated_weight_name(self, command, capsys):

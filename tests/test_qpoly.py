@@ -31,6 +31,7 @@ from wcilinks.qpoly import (
 )
 from wcilinks.qpoly import (
     _eliminate,
+    _grevlex,
     _univariate_gcd,
     det,
 )
@@ -178,6 +179,31 @@ def test_grevlex_print_order(A):
     # graded, and within a degree x^2 before x*y before y^2
     f = A.parse("y^2 + x*y + x^2 + z^3")
     assert f.to_str() == "z^3 + x^2 + x*y + y^2"
+
+
+def test_grevlex_key_matches_the_definition():
+    # a < b iff deg a < deg b, or the degrees agree and the rightmost
+    # nonzero entry of a - b is positive
+    def below(a, b):
+        if sum(a) != sum(b):
+            return sum(a) < sum(b)
+        diff = [x - y for x, y in zip(a, b) if x != y]
+        return bool(diff) and diff[-1] > 0
+
+    rng = random.Random("grevlex")
+    same_degree = 0
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        a = tuple(rng.randint(0, 4) for _ in range(n))
+        if rng.random() < 0.5:
+            # a shuffle of a keeps its degree
+            b = tuple(rng.sample(a, n))
+        else:
+            b = tuple(rng.randint(0, 4) for _ in range(n))
+        same_degree += sum(a) == sum(b) and a != b
+        assert (_grevlex(a) < _grevlex(b)) == below(a, b), (a, b)
+        assert (_grevlex(a) == _grevlex(b)) == (a == b), (a, b)
+    assert same_degree > 500
 
 
 def test_zero_prints_as_zero(A):
@@ -1036,7 +1062,11 @@ def test_det_and_rank_match_sympy(field):
         oracle = DomainMatrix([[element(c) for c in row] for row in rows],
                               (nrows, ncols), K)
         rank = oracle.rank()
-        assert _eliminate(rows, field)[0] == rank, rows
+        got_rank, _, pivots = _eliminate(rows, field)
+        assert got_rank == rank, rows
+        # the pivot columns are the first columns independent of those
+        # before them, whatever rows the elimination swaps
+        assert pivots == tuple(oracle.rref()[1]), rows
         if nrows == ncols:
             got = det([[amb.const(c) for c in row] for row in rows])
             assert got.is_constant()
