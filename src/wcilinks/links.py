@@ -614,7 +614,6 @@ class LinkReport:
     trace: object | None = None
     cones: object | None = None
     exceptional: object | None = None
-    notes: tuple = ()
 
 
 @record
@@ -897,7 +896,7 @@ def condition_check(hat):
 # exclusion games at qhat
 
 
-def _not_a_link(center, rec, agree, cones, exceptional, notes):
+def _not_a_link(center, rec, agree, cones, exceptional):
     """Certify that a discrepancy-one blowup at qhat starts no link.
 
     The chart orders must agree, the discrepancy must be one, the game
@@ -937,7 +936,7 @@ def _not_a_link(center, rec, agree, cones, exceptional, notes):
         center=center,
         verdict=Verdict(kind="NotSarkisov", detail=detail),
         extraction=rec, trace=cones.trace, cones=cones,
-        exceptional=exceptional, notes=notes,
+        exceptional=exceptional,
     )
 
 
@@ -958,8 +957,8 @@ def run_exclusion_blowups(hat):
     center = "qhat, the compound E6 point of the degree-7 model"
 
     # first blowup: directly, in the chart x = 1.  Every verdict of the
-    # pipeline is decided by a deterministic rule on a member past the
-    # normal form's gates.  The exceptional equation here is
+    # pipeline is decided by one of the two rules of
+    # irreducibility_verdict on a member past the normal form's gates.  The exceptional equation here is
     # y*w^2 + lam*y*z*w + a6(z, t) (see condition_check): quadratic in w
     # with coprime coefficients, and its discriminant has t-degree
     # exactly 3, with t^3 coefficient -4*mu*y and mu != 0.  The
@@ -972,9 +971,7 @@ def run_exclusion_blowups(hat):
     _, _, cones1 = blowup_game(_COND_WPS, (Fc,), "x", _WEIGHTS1)
     _require(cones1.bidegrees == (DivisorClass(7, 6),),
              "unexpected bidegree for the (4,1,2,1) transport")
-    report1 = _not_a_link(
-        center, rec1, agree1, cones1, exc1,
-        ("discrepancy one, exceptional divisor irreducible",))
+    report1 = _not_a_link(center, rec1, agree1, cones1, exc1)
 
     # second blowup: after re-embedding by s = h
     yv = camb.var("y")
@@ -1020,11 +1017,7 @@ def run_exclusion_blowups(hat):
              " isomorphism")
     _require(cones2.nef_cones[0] == ConeZ2((1, 0), (3, 2)),
              "unexpected nef cone after merging the w-wall")
-    report2 = _not_a_link(
-        center, rec2, agree2, cones2, exc2,
-        ("re-embedded as a (7, 6) complete intersection in"
-         " P(1,1,1,2,3,6) before blowing up",
-         "discrepancy one, exceptional divisor irreducible"))
+    report2 = _not_a_link(center, rec2, agree2, cones2, exc2)
     return report1, report2
 
 
@@ -1244,7 +1237,6 @@ class InvolutionCheck:
 
     samples: int
     passed: int
-    failures: tuple = ()
 
 
 def verify_involution(equations, wps, images, samples=100, seed=0,
@@ -1266,7 +1258,6 @@ def verify_involution(equations, wps, images, samples=100, seed=0,
     field = sampler.field
     entries = Evaluator(f.rename(sampler.amb) for f in images)
     passed = 0
-    failures = []
     for pt in sampler.points(samples, seed):
         image = entries(pt)
         good = all(field.is_zero(v) for v in sampler.eqs_at(image))
@@ -1281,10 +1272,7 @@ def verify_involution(equations, wps, images, samples=100, seed=0,
                     for j, wt in enumerate(wps.weights))
         if good:
             passed += 1
-        elif len(failures) < 3:
-            failures.append(pt)
-    return InvolutionCheck(samples=samples, passed=passed,
-                           failures=tuple(failures))
+    return InvolutionCheck(samples=samples, passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -1432,8 +1420,6 @@ def link_stages(F1, F2, samples=40, seed=0, field=None):
                        " on v",
                 target=X_SPEC,
             ),
-            notes=("composing with sigma gives the birational involution"
-                   " of X verified above",),
         ))
 
     germ_count = hat_census.germ.low_discrepancy_count

@@ -13,8 +13,8 @@ coordinates to 0 or 1 by exponents (QPolynomial.restrict), exact
 Jacobian ranks read column by column (JacobianRank), the graded
 transform that inserts a scaling variable u (toric_transform), Sylvester
 resultants with polynomial entries via fraction-free Bareiss elimination,
-exact polynomial square roots, and a rule-based irreducibility verdict with
-verified certificates.
+and an irreducibility verdict by two rules that hold over every extension
+field.
 
 Polynomials are immutable: nothing writes to a polynomial's terms after
 construction, and every arithmetic result (sum, difference, negation,
@@ -51,7 +51,6 @@ __all__ = [
     "irreducibility_verdict",
     "jacobian",
     "parse",
-    "polynomial_sqrt",
     "resultant",
     "substitute",
     "toric_transform",
@@ -1328,55 +1327,6 @@ def resultant(f, g, name):
 
 
 # ---------------------------------------------------------------------------
-# polynomial square root
-
-
-def polynomial_sqrt(f):
-    """Exact square root of f, or None if f is not a perfect square.
-
-    Works over Q and over F_p with p odd, by stripping leading terms: if
-    f = g^2 then the grevlex leading term of g is the square root of the
-    leading term of f, and the remaining terms of g are forced one by one.
-    """
-    ambient = f.ambient
-    field = ambient.field
-    if f.is_zero():
-        return f
-    if field.characteristic == 2:
-        raise ValueError("square root not supported in characteristic 2")
-    fm, fc = f.leading_term()
-    if any(e % 2 for e in fm):
-        return None
-    rc = field.sqrt(fc)
-    if rc is None:
-        return None
-    gm = tuple(e // 2 for e in fm)
-    g = QPolynomial(ambient, {gm: rc})
-    two_lt = QPolynomial(ambient, {gm: field.mul(field.coerce(2), rc)})
-    rem = f - g * g
-    # the leading monomial of rem strictly decreases in grevlex and stays
-    # within degree <= deg f, so this bound guarantees termination
-    guard = comb(f.total_degree() + ambient.nvars, ambient.nvars) + 2
-    while not rem.is_zero():
-        guard -= 1
-        if guard < 0:
-            return None
-        rm, rc2 = rem.leading_term()
-        tm, tc = two_lt.leading_term()
-        if not _mono_divides(tm, rm):
-            return None
-        qm = _mono_div(rm, tm)
-        qc = field.mul(rc2, field.inv(tc))
-        t = QPolynomial(ambient, {qm: qc})
-        new_g = g + t
-        if max(new_g.terms, key=_grevlex) != gm:
-            return None
-        g = new_g
-        rem = f - g * g
-    return g
-
-
-# ---------------------------------------------------------------------------
 # evaluation and jacobian
 
 
@@ -1519,30 +1469,18 @@ def matrix_rank_at(fs, point):
 
 @record
 class IrreducibilityVerdict:
-    """Three-valued verdict with a checkable certificate.
+    """Two-valued verdict of irreducibility_verdict.
 
-    kind is one of "irreducible", "reducible", "unknown".  For reducible
-    verdicts the factors multiply back to the input exactly (verified at
-    construction).  The witness string names the rule that fired.
+    kind is "irreducible" or "unknown"; the witness string names the
+    rule that decided, or says that none did.
     """
 
     kind: str
     witness: str
-    factors: tuple = None
 
     @property
     def is_irreducible(self):
         return self.kind == "irreducible"
-
-    @property
-    def is_reducible(self):
-        return self.kind == "reducible"
-
-
-def _certify_reducible(f, a, b, witness):
-    if a * b != f:
-        raise AssertionError("internal: claimed factorization does not verify")
-    return IrreducibilityVerdict("reducible", witness, (a, b))
 
 
 def _coprime_set_certificate(polys, depth=6):
@@ -1659,181 +1597,47 @@ def _univariate_gcd(polys, name):
     return QPolynomial(ambient, terms)
 
 
-def _coprime_pair_certificate(a, b):
-    """True if gcd(a, b) is provably a unit.  Sound, not complete."""
-    if a.is_zero() or b.is_zero():
-        return False
-    if _coprime_set_certificate([a, b]):
-        return True
-    if a.ambient.field.characteristic == 2:
-        return False  # the discriminant argument below needs 1/2
-    # quadratic with constant leading coefficient in some variable:
-    # divisors have bounded degree there and can be enumerated via the
-    # discriminant, so common factors can be decided exactly
-    for small, other in ((a, b), (b, a)):
-        for v in sorted(small.variables()):
-            uni = small.as_univariate(v)
-            if max(uni) != 2:
-                continue
-            lead = uni.get(2)
-            if lead is None or not lead.is_constant():
-                continue
-            # Any common divisor g divides small.  Since the v-leading
-            # coefficient of small is a nonzero constant, a v-free g is a
-            # unit, a v-quadratic g is small itself up to scalar, and a
-            # v-linear g corresponds to a root of small in the fraction
-            # field of the other variables, which exists iff the
-            # discriminant is a perfect square.
-            field = small.ambient.field
-            if divides(small, other):
-                return False
-            B = uni.get(1, small.ambient.zero())
-            C = uni.get(0, small.ambient.zero())
-            disc = B * B - 4 * lead * C
-            sq = small.ambient.zero() if disc.is_zero() else polynomial_sqrt(disc)
-            if sq is None:
-                return True
-            inv = field.inv(field.mul(field.coerce(2), lead.constant_coefficient()))
-            shares_root = False
-            for num in (-B + sq, -B - sq):
-                root = num.scale(inv)
-                if substitute(other, {v: root}, other.ambient).is_zero():
-                    shares_root = True
-                    break
-            if shares_root:
-                return False
-            return True
-    return False
-
-
-def _nonsquare_certificate(disc):
-    """A reason disc cannot be a perfect square, or None."""
-    if disc.is_zero():
-        return None
-    for v in sorted(disc.variables()):
-        d = disc.degree_in(v)
-        o = disc.order_in(v)
-        if d % 2 == 1:
-            return f"odd degree {d} in {v}"
-        if o % 2 == 1:
-            return f"odd valuation {o} at {v}"
-    if disc.total_degree() % 2 == 1:
-        return "odd total degree"
-    field = disc.ambient.field
-    if isinstance(field, RationalField):
-        _, lc = disc.leading_term()
-        if lc < 0:
-            return "negative leading coefficient"
-    if polynomial_sqrt(disc) is None:
-        return "no exact polynomial square root"
-    return None
 
 
 def irreducibility_verdict(f):
-    """Decide irreducibility of f with a checkable certificate.
+    """Certify f irreducible over every extension of its coefficient field.
 
-    Deterministic rules only: monomial content splits, exact perfect
-    square detection, and linear and quadratic variable rules with
-    coprimality and discriminant certificates; when none applies the
-    verdict is unknown.  A reducible verdict carries its factors.
+    Two rules, tried in each variable v of f in sorted order:
 
-    "Irreducible" means irreducible over the coefficient field of f.  The
-    two witnesses the link pipeline reaches, linear with coprime
-    coefficient and remainder, and a discriminant of odd degree in some
-    variable, hold over every extension field as well; others need not:
-    "negative leading coefficient" certifies x^2 + y^2 over Q.  In
-    characteristic 2 the square-root rules do not apply, so the perfect
-    square and quadratic rules are skipped there.
+    - f = A*v + B with A and B coprime: f is primitive and linear in v.
+    - f = A*v^2 + B*v + C with A, B and C coprime and the discriminant
+      B^2 - 4*A*C of odd degree in some variable, so that it is not a
+      square over any extension: f has no root in v and is primitive.
+      The rule needs 1/2, so it is skipped in characteristic 2.
+
+    Coprimality comes from _coprime_set_certificate, and a gcd does not
+    change under field extension, so both rules hold over every
+    extension field: "irreducible" means geometrically irreducible.
+    When neither rule applies the verdict is unknown, which includes
+    every constant.
     """
-    ambient = f.ambient
-    field = ambient.field
-    two_invertible = field.characteristic != 2
-    if f.is_zero():
-        return IrreducibilityVerdict("unknown", "zero polynomial")
-    if f.is_constant():
-        return IrreducibilityVerdict("unknown", "constant (a unit)")
-    if f.total_degree() == 1 and f.is_monomial():
-        return IrreducibilityVerdict("irreducible", "a single variable")
-
-    # rule 1: monomial content
-    content = f.monomial_content()
-    if any(e > 0 for e in content):
-        mono = QPolynomial(ambient, {content: field.one()})
-        rest = divexact(f, mono)
-        if rest.is_constant():
-            # f is c * x^e: peel one variable off
-            i = next(i for i, e in enumerate(content) if e > 0)
-            if sum(content) == 1:
-                return IrreducibilityVerdict(
-                    "irreducible", "linear monomial"
-                )
-            e1 = [0] * ambient.nvars
-            e1[i] = 1
-            first = QPolynomial(ambient, {tuple(e1): field.one()})
-            return _certify_reducible(f, first, divexact(f, first), "monomial split")
-        return _certify_reducible(f, mono, rest, "monomial content split")
-
-    # rule 2: exact perfect square
-    if two_invertible and f.total_degree() % 2 == 0:
-        root = polynomial_sqrt(f)
-        if root is not None:
-            return _certify_reducible(f, root, root, "perfect square")
-
-    # rules 3 and 4: linear or quadratic in some variable
+    field = f.ambient.field
+    zero = f.ambient.zero()
     for v in sorted(f.variables()):
         uni = f.as_univariate(v)
         d = max(uni)
         if d == 1:
-            A = uni.get(1, ambient.zero())
-            B = uni.get(0, ambient.zero())
-            if B.is_zero():
-                continue  # handled by content rule already
-            if _coprime_pair_certificate(A, B):
+            if _coprime_set_certificate([uni[1], uni.get(0, zero)]):
                 return IrreducibilityVerdict(
                     "irreducible",
                     f"linear in {v} with coprime coefficient and remainder",
                 )
-        elif d == 2 and two_invertible:
-            A = uni.get(2, ambient.zero())
-            B = uni.get(1, ambient.zero())
-            C = uni.get(0, ambient.zero())
-            if C.is_zero():
-                continue
-            if not _coprime_set_certificate([A, B, C] if not B.is_zero() else [A, C]):
+        elif d == 2 and field.characteristic != 2:
+            A, B, C = uni[2], uni.get(1, zero), uni.get(0, zero)
+            if not _coprime_set_certificate([A, B, C]):
                 continue
             disc = B * B - 4 * A * C
-            if disc.is_zero():
-                if A.is_constant():
-                    # f = A (v + B/(2A))^2
-                    half = field.inv(field.mul(field.coerce(2), A.constant_coefficient()))
-                    lin = ambient.var(v) + B.scale(half)
-                    return _certify_reducible(
-                        f, lin, divexact(f, lin), f"double root in {v}"
+            for w in sorted(disc.variables()):
+                k = disc.degree_in(w)
+                if k % 2:
+                    return IrreducibilityVerdict(
+                        "irreducible",
+                        f"quadratic in {v}, discriminant not a square"
+                        f" (odd degree {k} in {w})",
                     )
-                continue
-            reason = _nonsquare_certificate(disc)
-            if reason is not None:
-                return IrreducibilityVerdict(
-                    "irreducible",
-                    f"quadratic in {v}, discriminant not a square ({reason})",
-                )
-            sq = polynomial_sqrt(disc)
-            if sq is not None:
-                # 4A f = (2Av + B - sq)(2Av + B + sq); try to pull out an
-                # honest polynomial factor pair
-                two_A_v = 2 * A * ambient.var(v)
-                for cand in (two_A_v + B - sq, two_A_v + B + sq):
-                    if cand.is_constant():
-                        continue
-                    try:
-                        other = divexact(f, cand)
-                    except ExactDivisionError:
-                        continue
-                    if not other.is_constant():
-                        return _certify_reducible(
-                            f, cand, other, f"quadratic split in {v}"
-                        )
-                # square discriminant but no integral factor extracted
-                continue
-
     return IrreducibilityVerdict("unknown", "no rule applied")

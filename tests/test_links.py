@@ -617,6 +617,27 @@ class TestExclusions:
             run_exclusion_blowups(sigma.hat)
         assert len(calls) == failing + 1
 
+    @pytest.mark.parametrize("lam0, e_witness", [
+        (False, "linear in t with coprime coefficient and remainder"),
+        (True, "quadratic in x, discriminant not a square"
+               " (odd degree 3 in y)"),
+    ], ids=["lambda-nonzero", "lambda-zero"])
+    def test_verdict_witnesses(self, sigma, lam0_member, lam0, e_witness):
+        # the rule that decides each verdict, as run_exclusion_blowups
+        # states: the (4,1,2,1) divisor by its discriminant in w, the
+        # (2,1,2,1,4) divisor as linear in s, and E by lam
+        hat = (construct_link_sigma(normal_form_X1214(*lam0_member)).hat
+               if lam0 else sigma.hat)
+        assert hat.lam == (0 if lam0 else 1)
+        r1, r2 = run_exclusion_blowups(hat)
+        germ = singularity_census_hatX(hat).germ
+        assert [r1.exceptional.witness, r2.exceptional.witness,
+                germ.e_verdict.witness] == [
+            "quadratic in w, discriminant not a square (odd degree 3 in t)",
+            "linear in s with coprime coefficient and remainder",
+            e_witness,
+        ]
+
 
 # ---------------------------------------------------------------------------
 # curves

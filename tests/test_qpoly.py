@@ -12,6 +12,7 @@ from wcilinks.qpoly import (
     Evaluator,
     ExactDivisionError,
     GF,
+    IrreducibilityVerdict,
     JacobianRank,
     QQ,
     QPolynomial,
@@ -24,7 +25,6 @@ from wcilinks.qpoly import (
     jacobian,
     matrix_rank_at,
     parse,
-    polynomial_sqrt,
     resultant,
     substitute,
     toric_transform,
@@ -745,10 +745,10 @@ def test_resultant_degree_zero_inputs(A):
 
 
 # ---------------------------------------------------------------------------
-# square roots
+# irreducibility verdicts
 
 
-def test_polynomial_sqrt_recovers_squares(A):
+def test_verdict_leaves_squares_unknown(A):
     rng = random.Random(5)
     for _ in range(25):
         terms = {}
@@ -756,75 +756,123 @@ def test_polynomial_sqrt_recovers_squares(A):
             m = tuple(rng.randint(0, 2) for _ in range(3))
             terms[m] = Fraction(rng.randint(-3, 3))
         g = QPolynomial(A, terms)
-        if g.is_zero():
-            continue
-        f = g * g
-        r = polynomial_sqrt(f)
-        assert r is not None
-        assert r * r == f
-
-
-def test_polynomial_sqrt_rejects_non_squares(A):
-    for text in ["x^2 + y^2", "x^2 + x*y", "x^2 - 1", "2*x^2", "x^2*y"]:
-        assert polynomial_sqrt(A.parse(text)) is None, text
-
-
-def test_polynomial_sqrt_over_prime_field():
+        assert irreducibility_verdict(g * g).kind == "unknown", g
     B = Ambient(("x", "y"), GF(101))
     g = B.parse("3*x^2 + 5*x*y + 7")
-    f = g * g
-    r = polynomial_sqrt(f)
-    assert r is not None and r * r == f
-    assert polynomial_sqrt(B.parse("2*x^2")) is None  # 2 is not a QR mod 101
+    assert irreducibility_verdict(g * g).kind == "unknown"
 
 
-# ---------------------------------------------------------------------------
-# irreducibility verdicts
+def test_verdict_unknown_when_split_over_an_extension(A):
+    # both are irreducible over Q but split over Q(i) and Q(sqrt(2)):
+    # their discriminants in x, -4*y^2 and 8*y^2, have even degree
+    x, y = sympy.symbols("x y")
+    for text, expr in (("x^2 + y^2", x**2 + y**2),
+                       ("x^2 - 2*y^2", x**2 - 2 * y**2)):
+        assert irreducibility_verdict(A.parse(text)).kind == "unknown", text
+        _, factors = sympy.factor_list(
+            expr, x, y, extension=[sympy.I, sympy.sqrt(2)])
+        assert len(factors) == 2, text
+
+
+def _shaped_cases():
+    """Seeded polynomials over Q in v, x, y of the two shapes the rules
+    read, A*v + B and A*v^2 + B*v + C, and products that split: a
+    non-unit times a linear one, and two linear ones."""
+    amb = Ambient(("v", "x", "y"), QQ)
+    v = amb.var("v")
+    rng = random.Random(3)
+
+    def coefficient(top):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = [0, 0, 0]
+            for _ in range(rng.randint(0, top)):
+                e[rng.randint(1, 2)] += 1
+            terms[tuple(e)] = Fraction(rng.choice([-2, -1, 1, 2, 3]))
+        return QPolynomial(amb, terms)
+
+    shaped, split = [], []
+    for i in range(24):
+        if i % 3 == 0:
+            shaped.append(coefficient(2) * v + coefficient(3))
+        else:
+            shaped.append(coefficient(1) * v * v + coefficient(2) * v
+                          + coefficient(3))
+        lin = coefficient(1) * v + coefficient(2)
+        other = (coefficient(1) * v + coefficient(2) if i % 2
+                 else coefficient(2))
+        if not other.is_constant():
+            split.append(lin * other)
+    return shaped, split
+
+
+def test_irreducible_verdicts_match_sympy_over_an_extension():
+    # an irreducible verdict is a single factor over Q(i, sqrt(2)), and
+    # a product of two non-units is never certified
+    shaped, split = _shaped_cases()
+    syms = sympy.symbols("v x y")
+    rules = []
+    for f in shaped:
+        verdict = irreducibility_verdict(f)
+        if not verdict.is_irreducible:
+            continue
+        rules.append(verdict.witness.split()[0])
+        expr = sympy.sympify(str(f).replace("^", "**"))
+        _, factors = sympy.factor_list(
+            expr, *syms, extension=[sympy.I, sympy.sqrt(2)])
+        assert [k for _, k in factors] == [1], f
+    assert rules.count("linear") >= 5 and rules.count("quadratic") >= 5
+    assert len(split) >= 15
+    for f in split:
+        assert irreducibility_verdict(f).kind == "unknown", f
 
 
 def test_verdict_monomial_content(A):
-    v = irreducibility_verdict(A.parse("x^2*y + x^3"))
-    assert v.is_reducible
-    a, b = v.factors
-    assert a * b == A.parse("x^2*y + x^3")
+    # no rule reads monomial content: a shared factor leaves A and B
+    # without a coprimality certificate in every variable
+    for text in ("x^2*y + x^3", "x*y + x*z"):
+        assert irreducibility_verdict(A.parse(text)).kind == "unknown", text
 
 
 def test_verdict_single_monomial(A):
-    assert irreducibility_verdict(A.parse("x")).is_irreducible
-    assert irreducibility_verdict(A.parse("3*y")).is_irreducible
-    v = irreducibility_verdict(A.parse("x^2*y"))
-    assert v.is_reducible
+    for text, v in (("x", "x"), ("3*y", "y")):
+        assert irreducibility_verdict(A.parse(text)) == IrreducibilityVerdict(
+            "irreducible",
+            f"linear in {v} with coprime coefficient and remainder")
+    for text in ("x^2*y", "5", "0"):
+        assert irreducibility_verdict(A.parse(text)).kind == "unknown", text
 
 
 def test_verdict_perfect_square(A):
     v = irreducibility_verdict(A.parse("(x + y + 1)^2"))
-    assert v.is_reducible
-    assert v.factors[0] == v.factors[1]
+    assert (v.kind, v.witness) == ("unknown", "no rule applied")
 
 
 def test_verdict_linear_rule(A):
     # z occurs linearly with coefficient coprime to the rest
     v = irreducibility_verdict(A.parse("x*z + y^3 + 1"))
-    assert v.is_irreducible
-    # x*y + y^2: content y splits off
+    assert (v.kind, v.witness) == (
+        "irreducible", "linear in x with coprime coefficient and remainder")
+    # x*y + y^2 = y*(x + y): A = y divides B = y^2
     v2 = irreducibility_verdict(A.parse("x*y + y^2"))
-    assert v2.is_reducible
+    assert v2.kind == "unknown"
 
 
 def test_verdict_quadratic_discriminant(A):
-    # disc in x is 4*y^2*z - 4*... take x^2 + y*z: disc = -4*y*z, odd valuation
+    # x^2 + y*z: the discriminant in x, -4*y*z, has degree 1 in y
     v = irreducibility_verdict(A.parse("x^2 + y*z"))
-    assert v.is_irreducible
+    assert (v.kind, v.witness) == (
+        "irreducible",
+        "quadratic in x, discriminant not a square (odd degree 1 in y)")
+    # irreducible, but every discriminant, -4*(y^2 + z^2) in x for one,
+    # has even degree in each variable
     v2 = irreducibility_verdict(A.parse("x^2 + y^2 + z^2"))
-    assert v2.is_irreducible
+    assert v2.kind == "unknown"
 
 
 def test_verdict_quadratic_split(A):
     f = A.parse("(x + y)*(x + z)")
-    v = irreducibility_verdict(f)
-    assert v.is_reducible
-    a, b = v.factors
-    assert a * b == f
+    assert irreducibility_verdict(f).kind == "unknown"
 
 
 def test_verdict_hypersurface_shapes():
@@ -849,8 +897,9 @@ def test_verdict_linear_with_quadratic_lead_coefficient():
     f = B.parse("(3*w^2 + 2*z*w + y)*s + y^3 + t^2 + w*z^2")
     v = irreducibility_verdict(f)
     assert v.is_irreducible, v.witness
-    # over GF(2) that certificate needs 1/2 and is skipped, so s fails
-    # and y, linear with a monomial remainder, decides
+    # over GF(2) the s-coefficient and remainder share every variable,
+    # so no coprimality certificate reads them, and y decides: its
+    # remainder alone holds z
     C = Ambient(("s", "w", "z", "y"), GF(2))
     v = irreducibility_verdict(C.parse("(w^2 + z*w + y)*s + y*w + z^2"))
     assert (v.kind, v.witness) == (
@@ -859,17 +908,13 @@ def test_verdict_linear_with_quadratic_lead_coefficient():
 
 def test_verdict_reducible_factors_verify(A):
     f = A.parse("(x^2 + y)*(x^2 + z)")
-    v = irreducibility_verdict(f)
-    if v.is_reducible:
-        a, b = v.factors
-        assert a * b == f
+    assert irreducibility_verdict(f).kind == "unknown"
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 101, DEFAULT_PRIME])
 def test_fp_irreducibility_matches_sympy(p):
     # a decided verdict on a univariate polynomial over F_p is sympy's
-    # answer, and for odd p every degree up to two is decided; p = 2 has
-    # no square-root rules, but must not raise
+    # answer, and every linear one is decided
     T = sympy.Symbol("T")
     B = Ambient(("T",), GF(p))
     rng = random.Random(p)
@@ -884,19 +929,19 @@ def test_fp_irreducibility_matches_sympy(p):
             if v.kind != "unknown":
                 assert v.is_irreducible == poly.is_irreducible, coeffs
             else:
-                assert p == 2 or deg > 2, coeffs
+                assert deg > 1, coeffs
 
 
 def test_verdict_random_line_witness():
     B = Ambient(("x", "y", "z"), GF(101))
     f = B.parse("x^3 + y^3 + z^3 + x*y*z + 1")
     v = irreducibility_verdict(f)
-    assert v.kind in ("irreducible", "unknown")
+    assert (v.kind, v.witness) == ("unknown", "no rule applied")
 
 
 def _seeded_cases():
     """Seeded polynomials in x, y, z of degree 3 to 5 in each variable,
-    most of them past every rule of irreducibility_verdict."""
+    past every rule of irreducibility_verdict."""
     rng = random.Random(9)
     cases = []
     for field in (QQ, GF(7), GF(101), GF(10007)):
@@ -921,11 +966,8 @@ def _seeded_cases():
     return cases
 
 
-# the verdicts of _seeded_cases(), frozen: one case is decided by the
-# quadratic rule, and no rule applies to the others
+# the verdicts of _seeded_cases(), frozen: no rule applies to any
 FROZEN_VERDICTS = ["unknown: no rule applied"] * 40
-FROZEN_VERDICTS[18] = ("irreducible: quadratic in x, discriminant not a"
-                       " square (no exact polynomial square root)")
 
 
 def test_verdict_line_restriction_frozen(A):

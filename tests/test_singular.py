@@ -218,6 +218,14 @@ def test_cA2_composition_law():
         assert row.discrepancy == row.discrepancy_on_blowup + row.multiplicity * aE
 
 
+def test_cA2_verdict_witness():
+    # E, x*y + g6(z, t), is linear in x, and its coefficient y does not
+    # occur in g6
+    res = analyze_cA2_germ(census_cA2_g())
+    assert res.e_verdict.witness == (
+        "linear in x with coprime coefficient and remainder")
+
+
 def test_cA2_gates():
     zt = Ambient(("z", "t"), QQ)
     for g, gate in (("t^3 + z^5", "even_in_z"), ("t^2 + z^6", "order_six"),

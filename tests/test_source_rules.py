@@ -8,8 +8,9 @@ the package is read, as an attribute of its name, somewhere in src/,
 tests/ or bench/, so a record holds nothing that no code uses.  And no
 substitution of the package sets coordinates to the constants 0 and 1
 only: QPolynomial.restrict does that by exponents, the one path for it.
-This test parses the sources with `ast`; it imports nothing from the
-package.
+Every name in a module's `__all__` is bound at the module's top level
+and listed once.  This test parses the sources with `ast`; it imports
+nothing from the package.
 """
 
 import ast
@@ -42,6 +43,43 @@ def test_no_assert_statements(path):
     asserts = [node.lineno for node in ast.walk(_tree(path))
                if isinstance(node, ast.Assert)]
     assert not asserts, f"{path.name} has assert statements at {asserts}"
+
+
+def _exported(tree):
+    """The string entries of the module's __all__ list, in order."""
+    return [elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for elt in node.value.elts]
+
+
+def _top_level_names(tree):
+    """The names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+    return names
+
+
+EXPORTING = [p for p in SOURCES if _exported(_tree(p))]
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=[p.name for p in EXPORTING])
+def test_all_names_resolve_once(path):
+    tree = _tree(path)
+    exported = _exported(tree)
+    repeated = sorted({n for n in exported if exported.count(n) > 1})
+    assert not repeated, f"{path.name} lists {repeated} twice in __all__"
+    missing = [n for n in exported if n not in _top_level_names(tree)]
+    assert not missing, f"{path.name} exports unbound names {missing}"
 
 
 def _record_fields(tree):
