@@ -757,6 +757,9 @@ def test_verdict_leaves_squares_unknown(A):
             terms[m] = Fraction(rng.randint(-3, 3))
         g = QPolynomial(A, terms)
         assert irreducibility_verdict(g * g).kind == "unknown", g
+
+
+def test_verdict_leaves_prime_field_square_unknown():
     B = Ambient(("x", "y"), GF(101))
     g = B.parse("3*x^2 + 5*x*y + 7")
     assert irreducibility_verdict(g * g).kind == "unknown"
