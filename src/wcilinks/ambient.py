@@ -13,8 +13,11 @@ records the whole trace.
 cone_calculus then restricts equations to the wall loci, tries to certify
 those loci empty on the variety (in which case the wall crossing is an
 isomorphism), and assembles nef cones, the mobile cone, and the
-anticanonical class.  blowup_game runs the whole chain for one weighted
-blowup of a coordinate point.
+anticanonical class.  It is the one caller of certify_stratum_empty,
+whose rules hold for bihomogeneous equations on columns in a pointed
+cone: cone_calculus reads every equation's bidegree first, and the game
+has refused any other columns.  blowup_game runs the whole chain for one
+weighted blowup of a coordinate point.
 """
 
 from __future__ import annotations
@@ -645,35 +648,6 @@ class EmptinessCertificate:
     reason: str
 
 
-def _common_positive_weights(eqs, p, q, ambient):
-    """Positive weights making every equation quasi-homogeneous in (p, q)."""
-    ip, iq = ambient.index(p), ambient.index(q)
-    diffs = []
-    for eq in eqs:
-        monos = [m for m, _ in eq.items()]
-        base = (monos[0][ip], monos[0][iq])
-        for m in monos[1:]:
-            diffs.append((m[ip] - base[0], m[iq] - base[1]))
-    basis = None
-    for d in diffs:
-        if d == (0, 0):
-            continue
-        if basis is None:
-            basis = d
-        elif _cross(basis, d) != 0:
-            return None
-    if basis is None:
-        return (1, 1)
-    da, db = basis
-    w = (db, -da)
-    if w[0] < 0 or w[1] < 0:
-        w = (-db, da)
-    if w[0] <= 0 or w[1] <= 0:
-        return None
-    g = gcd(w[0], w[1])
-    return (w[0] // g, w[1] // g)
-
-
 # how many branchings deep certify_stratum_empty goes before it gives up
 _STRATUM_DEPTH = 16
 
@@ -684,9 +658,37 @@ def certify_stratum_empty(equations, dead, left, right):
     equations live on an ambient containing all coordinates; dead is the
     set of names forced to zero; left and right are the two irrelevant
     groups (a stable point has a nonzero coordinate in each).  Sound rules
-    only; on failure the certificate reports empty=False.
+    only; on failure the certificate reports empty=False.  The rules: a
+    vanishing group is unstable; branching stops at _STRATUM_DEPTH; a
+    monomial equation forces a coordinate of its support to vanish; and
+    equations in two coordinates p < q alone are read on the chart p = 1.
+    A common root there has p nonzero.  Without one, every root has p = 0;
+    an equation that keeps a term there reads c*q^k, k >= 1, by (b) and
+    (e), so q = 0 too ("origin"), and if none does the branch p = 0
+    decides ("no root with p nonzero").
+
+    Precondition: the equations, at least one, are nonzero and
+    bihomogeneous for toric columns that are nonzero and lie in a pointed
+    cone, so only constants have bidegree (0, 0).  cone_calculus, the one
+    caller, reads each equation's Rank2Toric.bidegree, which raises
+    otherwise, on a trace whose columns run_two_ray_game's _sorted_rays
+    accepted, and setting coordinates to zero keeps the property.  So no
+    other rule is needed:
+    (a) a nonzero constant is a monomial of empty support, which the
+        monomial rule certifies without a branch;
+    (b) an equation in one coordinate p is c*p^k, as col_p is nonzero,
+        and its one branch p = 0 is the monomial rule's;
+    (c) the chart rule scales a root with p nonzero to p = 1, so it
+        needs positive weights on (p, q) for which every equation is
+        quasi-homogeneous.  They exist: each equation is one monomial if
+        p and q lie on different rays, and if they share a ray the
+        lengths of their columns on it are such weights;
+    (d) p = 1 merges p^a*q^b with p^a'*q^b only at one bidegree, so
+        a = a' and no equation vanishes on the chart;
+    (e) a nonzero constant at p = 0 is a constant term, of bidegree
+        (0, 0), so the equation is a constant, which (a) decides.
     """
-    ambient = equations[0].ambient if equations else None
+    names = equations[0].ambient.names
 
     def recurse(dead, depth):
         dead = frozenset(dead)
@@ -698,24 +700,15 @@ def certify_stratum_empty(equations, dead, left, right):
             return EmptinessCertificate(
                 True, f"all of the second group {sorted(right)} vanish: unstable"
             )
-        eqs = []
-        if ambient is not None:
-            for eq in equations:
-                r = eq.restrict(zeros=dead)
-                if not r.is_zero():
-                    eqs.append(r)
-        for eq in eqs:
-            if eq.is_constant():
-                return EmptinessCertificate(
-                    True, "an equation restricts to a nonzero constant"
-                )
+        eqs = [r for r in (eq.restrict(zeros=dead) for eq in equations)
+               if not r.is_zero()]
         if depth <= 0:
             return EmptinessCertificate(False, "branching depth exhausted")
         # a monomial equation forces some coordinate in its support to zero
         for eq in eqs:
             if eq.is_monomial():
                 occurring = eq.variables()
-                support = [n for n in ambient.names if n in occurring]
+                support = [n for n in names if n in occurring]
                 if all(recurse(dead | {v}, depth - 1).empty
                        for v in support):
                     return EmptinessCertificate(
@@ -727,64 +720,29 @@ def certify_stratum_empty(equations, dead, left, right):
             return EmptinessCertificate(
                 False, "no equations restrict nontrivially: stable points remain"
             )
-        # all equations supported on one or two coordinates
-        used = set()
-        for eq in eqs:
-            used |= eq.variables()
-        if len(used) == 1:
-            (p,) = used
-            g = _univariate_gcd(eqs, p)
-            if g is not None:
-                if g.is_constant():
-                    return EmptinessCertificate(
-                        True, f"equations in {p} alone have no common root"
-                    )
-                if g.is_monomial() and g.total_degree() >= 1:
-                    if recurse(dead | {p}, depth - 1).empty:
-                        return EmptinessCertificate(
-                            True,
-                            f"common root of the equations in {p} is only {p} = 0",
-                        )
+        used = set().union(*(eq.variables() for eq in eqs))
         if len(used) == 2:
             p, q = sorted(used)
-            w = _common_positive_weights(eqs, p, q, ambient)
-            if w is not None:
-                # scale-invariant system: compare the two charts
-                at_p1 = [eq.restrict(ones=(p,)) for eq in eqs]
-                g = _univariate_gcd([e for e in at_p1 if not e.is_zero()], q)
-                if any(e.is_zero() for e in at_p1):
-                    g = None  # an equation vanishes on the whole chart
-                if g is not None and g.is_constant():
-                    at_p0 = [eq.restrict(zeros=(p,)) for eq in eqs]
-                    pure = [e for e in at_p0 if not e.is_zero()]
-                    if any(e.is_constant() for e in pure):
-                        return EmptinessCertificate(
-                            True,
-                            f"scale-invariant equations in ({p},{q}) have a"
-                            f" nonzero constant on {p} = 0",
-                        )
-                    if pure:
-                        # every nonzero restriction is c*q^k with k >= 1, so
-                        # q vanishes as well
-                        if (all(e.is_monomial() for e in pure)
-                                and recurse(dead | {p, q}, depth - 1).empty):
-                            return EmptinessCertificate(
-                                True,
-                                f"scale-invariant equations in ({p},{q})"
-                                f" only vanish at the origin",
-                            )
-                    elif recurse(dead | {p}, depth - 1).empty:
-                        return EmptinessCertificate(
-                            True,
-                            f"scale-invariant equations in ({p},{q}) have"
-                            f" no root with {p} nonzero",
-                        )
-                if g is not None and not g.is_constant():
+            g = _univariate_gcd([eq.restrict(ones=(p,)) for eq in eqs], q)
+            if not g.is_constant():
+                return EmptinessCertificate(
+                    False,
+                    f"equations in ({p},{q}) share a root with {p} nonzero"
+                    f" (common factor {g})",
+                )
+            if any(not eq.restrict(zeros=(p,)).is_zero() for eq in eqs):
+                if recurse(dead | {p, q}, depth - 1).empty:
                     return EmptinessCertificate(
-                        False,
-                        f"equations in ({p},{q}) share a root with {p} nonzero"
-                        f" (common factor {g})",
+                        True,
+                        f"scale-invariant equations in ({p},{q})"
+                        f" only vanish at the origin",
                     )
+            elif recurse(dead | {p}, depth - 1).empty:
+                return EmptinessCertificate(
+                    True,
+                    f"scale-invariant equations in ({p},{q}) have"
+                    f" no root with {p} nonzero",
+                )
         return EmptinessCertificate(False, "no certification rule applies")
 
     return recurse(frozenset(dead), _STRATUM_DEPTH)

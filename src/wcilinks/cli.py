@@ -43,6 +43,11 @@ __all__ = ["build_parser", "emit", "load_input", "main"]
 
 SCHEMA = 1
 
+# The census types each coordinate point by loops over every residue
+# below its weight, so a document's weights bound its work: a weight
+# above _MAX_WEIGHT is refused.
+_MAX_WEIGHT = 1000
+
 
 class CliError(ValueError):
     """Invalid input document or flag combination."""
@@ -81,6 +86,9 @@ def load_input(document):
     if (not isinstance(weights, list) or not weights
             or not all(_is_int(w) and w > 0 for w in weights)):
         raise CliError("ambient.weights must be positive integers")
+    if max(weights) > _MAX_WEIGHT:
+        raise CliError(f"ambient weight {max(weights)} is above the limit"
+                       f" {_MAX_WEIGHT}")
     if (not isinstance(names, list) or len(names) != len(weights)
             or not all(isinstance(n, str) and n for n in names)
             or len(set(names)) != len(names)):

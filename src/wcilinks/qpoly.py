@@ -807,10 +807,13 @@ def _poly(ambient, terms):
 #
 # A document bounds the work it asks for: the parser refuses an exponent
 # above _MAX_EXPONENT, and a product or power that can reach more than
-# _MAX_TERMS terms, before it expands anything.
+# _MAX_TERMS terms, before it expands anything.  Parentheses are the one
+# recursion of the grammar, four frames a level, so it refuses nesting
+# deeper than _MAX_NESTING before Python's recursion limit is reached.
 
 _MAX_EXPONENT = 100
 _MAX_TERMS = 500
+_MAX_NESTING = 100
 
 
 class _Tokenizer:
@@ -863,6 +866,7 @@ class _Parser:
     def __init__(self, text, ambient):
         self.toks = _Tokenizer(text)
         self.ambient = ambient
+        self.depth = 0
 
     def parse(self):
         p = self._expr()
@@ -936,7 +940,12 @@ class _Parser:
                 raise ValueError(f"unknown variable {val!r} at position {pos}")
             return self.ambient.var(val)
         if kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ValueError(f"parenthesis at position {pos} is nested"
+                                 f" above the limit {_MAX_NESTING}")
+            self.depth += 1
             p = self._expr()
+            self.depth -= 1
             ck, _, cpos = self.toks.next()
             if ck != ")":
                 raise ValueError(f"expected ')' at position {cpos}")
@@ -1608,7 +1617,8 @@ def irreducibility_verdict(f):
     - f = A*v^2 + B*v + C with A, B and C coprime and the discriminant
       B^2 - 4*A*C of odd degree in some variable, so that it is not a
       square over any extension: f has no root in v and is primitive.
-      The rule needs 1/2, so it is skipped in characteristic 2.
+      In characteristic 2 the discriminant is B^2, of even degree in
+      every variable, so the rule never fires there.
 
     Coprimality comes from _coprime_set_certificate, and a gcd does not
     change under field extension, so both rules hold over every
@@ -1616,7 +1626,6 @@ def irreducibility_verdict(f):
     When neither rule applies the verdict is unknown, which includes
     every constant.
     """
-    field = f.ambient.field
     zero = f.ambient.zero()
     for v in sorted(f.variables()):
         uni = f.as_univariate(v)
@@ -1627,7 +1636,7 @@ def irreducibility_verdict(f):
                     "irreducible",
                     f"linear in {v} with coprime coefficient and remainder",
                 )
-        elif d == 2 and field.characteristic != 2:
+        elif d == 2:
             A, B, C = uni[2], uni.get(1, zero), uni.get(0, zero)
             if not _coprime_set_certificate([A, B, C]):
                 continue

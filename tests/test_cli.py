@@ -9,6 +9,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -207,6 +208,13 @@ class TestInputValidation:
         # large an exponent
         lambda d: dict(d, equations=["(x+2*y)^3000", MAIN_F2]),
         lambda d: dict(d, equations=["2^100000000", MAIN_F2]),
+        # nor parentheses nested past the recursion limit
+        lambda d: dict(d, equations=["(" * 3000 + "x" + ")" * 3000,
+                                     MAIN_F2]),
+        # a weight bounds the census's loops over residues
+        lambda d: {"ambient": {"weights": [1, 10**18, 10**18, 10**18],
+                               "vars": ["x", "y", "z", "t"]},
+                   "equations": ["y*t + z^2"], "field": "Q"},
         # a JSON boolean is no integer, though Python's bool is an int
         lambda d: dict(d, member="random",
                        ambient=dict(d["ambient"],
@@ -361,6 +369,20 @@ class TestTwoRay:
         assert cones["movable_cone"] == [[1, 0], [1, 1]]
         assert cones["anticanonical"] == [1, 1]
         assert cones["anticanonical_position"] == "boundary"
+
+    def test_fibration_end(self, tmp_path, capsys):
+        # blowing up the z-point of P(1,2,5) ends the game in the pencil
+        # of the coordinates x and y, which share a ray
+        doc = tmp_path / "fibration.json"
+        doc.write_text(json.dumps({"ambient": {"weights": [1, 2, 5],
+                                               "vars": ["x", "y", "z"]}}),
+                       encoding="utf-8")
+        code, out, err = run_cli(["two-ray", str(doc), "--center", "z",
+                                  "--weights", "x=2,y=4"], capsys)
+        assert code == 0, err
+        game = step(json.loads(out), "game")
+        assert game["end"] == {"kind": "fibration", "contracted": None}
+        assert game["walls"] == []
 
 
 class TestLink:
@@ -576,6 +598,33 @@ class TestExitCodes:
         bad.write_text("{not json", encoding="utf-8")
         code, _, err = run_cli(["analyze", str(bad)], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"ambient": {"weights": [1, 10**18, 10**18, 10**18],
+                      "vars": ["x", "y", "z", "t"]},
+          "equations": ["y*t + z^2"], "field": "Q"},
+         "ambient weight 1000000000000000000 is above the limit"),
+        (dict(MEMBER_DOC, equations=["(" * 3000 + "x" + ")" * 3000,
+                                     MAIN_F2]),
+         "parenthesis at position 100 is nested above the limit"),
+    ], ids=["huge-weight", "deep-nesting"])
+    def test_bounded_refusal(self, doc, message, tmp_path):
+        # bad input ends in exit 1 after bounded work: no hang on the
+        # census's loops over residues, no recursion error (exit 3).  A
+        # fresh process, as a user runs it, under a timeout, so a hang
+        # fails the test rather than stalling the suite
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(wcilinks.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "wcilinks.cli", "analyze", str(path)],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert time.perf_counter() - start < 2
+        assert (done.returncode, done.stdout) == (1, "")
+        assert message in done.stderr
 
     def test_missing_center_flag(self, cond_path, capsys):
         code, _, err = run_cli(["blowup", cond_path], capsys)

@@ -30,6 +30,7 @@ from wcilinks.qpoly import (
     toric_transform,
 )
 from wcilinks.qpoly import (
+    _MAX_NESTING,
     _eliminate,
     _grevlex,
     _univariate_gcd,
@@ -159,6 +160,18 @@ def test_parse_rejects_general_division(A):
 def test_parse_rejects_trailing_garbage(A):
     with pytest.raises(ValueError, match="trailing|unexpected"):
         A.parse("x + y)")
+
+
+def test_parse_bounds_nesting(A):
+    # nesting at the bound parses; one level more, or thousands, is
+    # refused by name before Python's recursion limit is reached
+    k = _MAX_NESTING
+    assert A.parse("(" * k + "x - y" + ")" * k) == A.parse("x - y")
+    assert A.parse("-(" * k + "x" + ")" * k) == (-1) ** k * A.var("x")
+    for depth in (k + 1, 3000):
+        with pytest.raises(ValueError,
+                           match=f"position {k} is nested above the limit"):
+            A.parse("(" * depth + "x" + ")" * depth)
 
 
 def test_print_parse_round_trip(A):

@@ -8,6 +8,8 @@ the package is read, as an attribute of its name, somewhere in src/,
 tests/ or bench/, so a record holds nothing that no code uses.  And no
 substitution of the package sets coordinates to the constants 0 and 1
 only: QPolynomial.restrict does that by exponents, the one path for it.
+Only cone_calculus calls ambient.certify_stratum_empty, so the check of
+its bihomogeneity precondition stays in one place.
 Every name in a module's `__all__` is bound at the module's top level
 and listed once.  This test parses the sources with `ast`; it imports
 nothing from the package.
@@ -174,3 +176,44 @@ def test_no_substitution_of_only_zeros_and_ones(path):
     assert not sites, (
         f"{path.name} substitutes only 0 and 1 at lines {sorted(sites)};"
         " use QPolynomial.restrict")
+
+
+def _owners(tree):
+    """Each node of the tree mapped to the name of its innermost
+    enclosing function, None at the module level."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            owner[child] = name
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name)
+
+    visit(tree, None)
+    return owner
+
+
+def test_stratum_certificate_is_called_only_by_cone_calculus():
+    """certify_stratum_empty's rules hold for bihomogeneous equations on
+    a toric ambient whose columns lie in a pointed cone.  cone_calculus
+    reads every equation's Rank2Toric.bidegree, which raises on anything
+    else, before it certifies a wall, and it plays only traces that
+    run_two_ray_game has accepted.  So no code of the package but
+    cone_calculus may name the certificate: not by a call, an alias, an
+    import or an attribute."""
+    name = "certify_stratum_empty"
+    inside, outside = 0, []
+    for path in SOURCES:
+        tree = _tree(path)
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if not ((isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.Attribute) and node.attr == name)
+                    or (isinstance(node, ast.alias) and node.name == name)):
+                continue
+            if path.name == "ambient.py" and owner[node] == "cone_calculus":
+                inside += isinstance(node, ast.Name)
+            else:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert inside == 2, "cone_calculus certifies each wall on both sides"
+    assert not outside, f"{name} is named outside cone_calculus at {outside}"
