@@ -664,15 +664,17 @@ def certify_stratum_empty(equations, dead, left, right):
     equations in two coordinates p < q alone are read on the chart p = 1.
     A common root there has p nonzero.  Without one, every root has p = 0;
     an equation that keeps a term there reads c*q^k, k >= 1, by (b) and
-    (e), so q = 0 too ("origin"), and if none does the branch p = 0
-    decides ("no root with p nonzero").
+    (e), so q = 0 too ("origin").
 
     Precondition: the equations, at least one, are nonzero and
     bihomogeneous for toric columns that are nonzero and lie in a pointed
-    cone, so only constants have bidegree (0, 0).  cone_calculus, the one
-    caller, reads each equation's Rank2Toric.bidegree, which raises
-    otherwise, on a trace whose columns run_two_ray_game's _sorted_rays
-    accepted, and setting coordinates to zero keeps the property.  So no
+    cone, so only constants have bidegree (0, 0); and the two groups are
+    unions of rays, so coordinates whose columns lie on one ray are in
+    the same group.  cone_calculus, the one caller, reads each equation's
+    Rank2Toric.bidegree, which raises otherwise, on a trace whose columns
+    run_two_ray_game's _sorted_rays accepted, and setting coordinates to
+    zero keeps the property; its groups are those of the game's models,
+    which split the coordinates by the position of their ray.  So no
     other rule is needed:
     (a) a nonzero constant is a monomial of empty support, which the
         monomial rule certifies without a branch;
@@ -686,7 +688,14 @@ def certify_stratum_empty(equations, dead, left, right):
     (d) p = 1 merges p^a*q^b with p^a'*q^b only at one bidegree, so
         a = a' and no equation vanishes on the chart;
     (e) a nonzero constant at p = 0 is a constant term, of bidegree
-        (0, 0), so the equation is a constant, which (a) decides.
+        (0, 0), so the equation is a constant, which (a) decides;
+    (f) when p divides every equation, the branch p = 0 decides nothing.
+        If p and q share a ray, q is in p's group and alive, the other
+        group was alive before p died, and no equation is left; so the
+        branch is not empty.  If they lie on different rays, each
+        equation is one monomial by (c), and the chart p = 1 has no
+        common root only if one of them is c*p^k, whose one branch p = 0
+        the monomial rule has already found not empty.
     """
     names = equations[0].ambient.names
 
@@ -730,18 +739,12 @@ def certify_stratum_empty(equations, dead, left, right):
                     f"equations in ({p},{q}) share a root with {p} nonzero"
                     f" (common factor {g})",
                 )
-            if any(not eq.restrict(zeros=(p,)).is_zero() for eq in eqs):
-                if recurse(dead | {p, q}, depth - 1).empty:
-                    return EmptinessCertificate(
-                        True,
-                        f"scale-invariant equations in ({p},{q})"
-                        f" only vanish at the origin",
-                    )
-            elif recurse(dead | {p}, depth - 1).empty:
+            if (any(not eq.restrict(zeros=(p,)).is_zero() for eq in eqs)
+                    and recurse(dead | {p, q}, depth - 1).empty):
                 return EmptinessCertificate(
                     True,
-                    f"scale-invariant equations in ({p},{q}) have"
-                    f" no root with {p} nonzero",
+                    f"scale-invariant equations in ({p},{q})"
+                    f" only vanish at the origin",
                 )
         return EmptinessCertificate(False, "no certification rule applies")
 

@@ -53,6 +53,7 @@ from .qpoly import (
     Ambient,
     DEFAULT_PRIME,
     Evaluator,
+    ExactDivisionError,
     GF,
     JacobianRank,
     QQ,
@@ -60,7 +61,6 @@ from .qpoly import (
     Substitution,
     WeightVector,
     divexact,
-    divides,
     irreducibility_verdict,
     resultant,
     substitute,
@@ -885,11 +885,14 @@ def condition_check(hat):
         camb, {"u": "y", "y": "z", "z": "x", "t": "t", "v": "w"})
     w2 = blowup_weight_vector(_COND_WPS, "x", _WEIGHTS2)
     low = F.w_component(w2, 4) + F.w_component(w2, 5)
-    yv = camb.var("y")
-    _require(divides(yv, low),
+    try:
+        h = divexact(low, camb.var("y"))
+    except ExactDivisionError:
+        h = None
+    _require(h is not None,
              "the weight-four and weight-five parts at qhat are not"
              " divisible by y")
-    return F, divexact(low, yv)
+    return F, h
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, isqrt
-from operator import add, mul
+from operator import add, mul, sub
 
 from ._records import record
 
@@ -1188,7 +1188,17 @@ class ExactDivisionError(ArithmeticError):
 
 
 def divexact(a, b):
-    """Exact polynomial quotient a / b; raises if division is not exact."""
+    """Exact polynomial quotient a / b; raises if division is not exact.
+
+    A divisor of one term c*m is divided in one pass: the quotient is
+    the sum of a_e/c * x^(e - m) over the terms of a, and the first term
+    of a that m does not divide raises ExactDivisionError.  Any other
+    divisor goes through the general loop, which divides the leading
+    term of the remainder and subtracts, in grevlex order.  Every
+    quotient the link pipeline takes is by a coordinate or a power of
+    one, so it meets only the first path; the general loop serves the
+    other divisors, such as the pivots of Bareiss elimination in det.
+    """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero():
@@ -1197,9 +1207,16 @@ def divexact(a, b):
         raise ValueError("ambient mismatch")
     field = a.ambient.field
     quo_terms = {}
-    rem = a
     bm, bc = b.leading_term()
     bc_inv = field.inv(bc)
+    if len(b.terms) == 1:
+        for m, c in a.terms.items():
+            qm = tuple(map(sub, m, bm))
+            if min(qm, default=0) < 0:
+                raise ExactDivisionError("leading term does not divide")
+            quo_terms[qm] = field.mul(c, bc_inv)
+        return _poly(a.ambient, quo_terms)
+    rem = a
     while not rem.is_zero():
         rm, rc = rem.leading_term()
         if not _mono_divides(bm, rm):

@@ -1,8 +1,11 @@
 """End-to-end tests of the link-certification pipeline."""
 
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -526,13 +529,14 @@ class TestCensusHatX:
 
 
 class TestExclusions:
-    def test_condition_gates(self, sigma, monkeypatch):
+    def test_condition_gates(self, sigma):
         # the one gate left guards the division by y, which sigma's
         # reassembly identity makes exact, so it fails only as an
-        # internal inconsistency
-        monkeypatch.setattr(links, "divides", lambda b, a: False)
+        # internal inconsistency: here on a model given the term y^4*z^3,
+        # which is z^4*x^3 at qhat, of w2-weight four and prime to y
+        F = sigma.hat.F + sigma.hat.F.ambient.parse("y^4*z^3")
         with pytest.raises(InconsistencyError, match="not divisible by y"):
-            condition_check(sigma.hat)
+            condition_check(SimpleNamespace(F=F))
 
     def test_condition_h(self, sigma):
         F, h = condition_check(sigma.hat)
@@ -922,3 +926,82 @@ class TestClassification:
             cls = classify_links(F1, F2, samples=5, field=field)
             assert cls.solid
             assert cls.citations == CITATIONS
+
+
+# ---------------------------------------------------------------------------
+# the member space
+
+
+# the monomial supports of the sparse members of the benchmark; the
+# coupled member keeps y*z*v (lambda != 0), the uncoupled one drops it
+SPARSE_F1 = ["w*x", "y^6", "y^4*t", "y^2*t^2", "t^3", "y*z*v", "z^4",
+             "z^2*y^3", "z^2*y*t", "x^12"]
+SPARSE_F2 = ["w*z", "v^2", "y^7", "y*t^3", "x^14", "x^2*z^4"]
+COUPLING = "y*z*v"
+
+
+def _member(kind, seed):
+    """The (F1, F2) pair of a dense, coupled or uncoupled member."""
+    if kind == "dense":
+        return random_member(seed)
+    rng = random.Random(seed)
+    amb = X_WPS.ambient()
+
+    def poly(monomials):
+        f = amb.zero()
+        for mono in monomials:
+            c = 0
+            while c == 0:
+                c = rng.randint(-9, 9)
+            f = f + amb.parse(mono).scale(c)
+        return f
+
+    f1 = SPARSE_F1 if kind == "coupled" else [
+        m for m in SPARSE_F1 if m != COUPLING]
+    return poly(f1), poly(SPARSE_F2)
+
+
+def _classification_bytes(cls):
+    """The fields of a classification the benchmark serialises."""
+    nf = cls.normal_form
+    return json.dumps({
+        "F1": str(nf.F1), "F2": str(nf.F2),
+        "lambda": str(nf.lam), "mu": str(nf.mu),
+        "model": str(cls.sigma.hat.F),
+        "reports": [[r.name, r.center, r.verdict.kind, r.verdict.detail,
+                     str(r.verdict.target)] for r in cls.reports],
+        "germ_rows": [[r.name, str(r.multiplicity), str(r.discrepancy)]
+                      for r in cls.hat_census.germ.rows],
+        "germ_count": cls.germ_count,
+        "divisor_links": cls.divisor_links,
+        "elementary_from_qhat": cls.elementary_from_qhat,
+        "involution": [cls.involution_check.passed,
+                       cls.involution_check.samples],
+        "citations": list(cls.citations),
+        "solid": cls.solid,
+        "summary": cls.summary,
+    }, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("kind, rejected, digest", [
+    ("dense", [38], "afd3e2c865eea3f4"),
+    ("coupled", [], "69911ca22ccaac84"),
+    ("uncoupled", [], "d75d14d781a8e4f4"),
+], ids=["dense", "coupled", "uncoupled"])
+def test_member_space_is_frozen(kind, rejected, digest):
+    # seeds 1-40 of each kind, classified with samples=20 and seed=s:
+    # the classification of each accepted member and "type: message" of
+    # each rejection, frozen.  A change that keeps the mathematics and
+    # the bytes keeps these digests.
+    h = hashlib.sha256()
+    refused = []
+    for seed in range(1, 41):
+        try:
+            cls = classify_links(*_member(kind, seed), samples=20, seed=seed)
+            out = _classification_bytes(cls)
+        except CertificateError as exc:
+            refused.append(seed)
+            out = f"{type(exc).__name__}: {exc}".encode()
+        h.update(out + b"\n")
+    assert refused == rejected
+    assert h.hexdigest()[:16] == digest

@@ -686,6 +686,60 @@ def test_divexact_zero_cases(A):
         divexact(A.parse("x"), A.zero())
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_divexact_by_monomial_matches_sympy(field):
+    # for seeded g and divisors d = c*m, with c = 1, c != 1 and m = 1
+    # among them, divexact(g*d, d) is g and is sympy's quotient, with
+    # remainder 0; one added term that m does not divide is refused
+    xs = sympy.symbols("x y z")
+    domain = sympy.QQ if field == QQ else sympy.GF(101)
+    B = Ambient(("x", "y", "z"), field)
+    rng = random.Random(41)
+
+    def to_sympy(f):
+        return sympy.Poly.from_dict(
+            {m: sympy.Rational(c) for m, c in f.items()}, *xs,
+            domain=domain)
+
+    def from_sympy(p):
+        return QPolynomial(B, {m: field.coerce(Fraction(int(c.p), int(c.q)))
+                               for m, c in p.as_dict().items()})
+
+    def coefficient():
+        c = field.zero()
+        while field.is_zero(c):
+            c = field.coerce(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        return c
+
+    def rand_poly():
+        terms = {tuple(rng.randint(0, 4) for _ in xs): coefficient()
+                 for _ in range(rng.randint(1, 8))}
+        return QPolynomial(B, terms)
+
+    divisors = [B.one(), B.const(3), B.parse("x"), B.parse("y^2*z")]
+    divisors += [B.monomial(tuple(rng.randint(0, 3) for _ in xs),
+                            coefficient()) for _ in range(20)]
+    refused = 0
+    for d in divisors:
+        (m, _), = d.items()
+        for _ in range(6):
+            g = rand_poly()
+            q = divexact(g * d, d)
+            assert q == g
+            sq, sr = sympy.div(to_sympy(g * d), to_sympy(d))
+            assert sr.is_zero
+            assert from_sympy(sq) == q
+            if any(m):
+                # the term m / x_i, for a variable x_i that m holds
+                i = next(i for i, e in enumerate(m) if e)
+                stray = B.monomial(m[:i] + (m[i] - 1,) + m[i + 1:], 1)
+                with pytest.raises(ExactDivisionError,
+                                   match="leading term does not divide"):
+                    divexact(g * d + stray, d)
+                refused += 1
+    assert refused >= 100
+
+
 # ---------------------------------------------------------------------------
 # resultants
 
